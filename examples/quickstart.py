@@ -9,13 +9,13 @@ quadrant of §6.
 Usage:
     python examples/quickstart.py [seed] [workers]
 
-Pass a worker count >1 to run pairing and classification on the sharded
-multiprocessing pipeline — the results are byte-identical either way.
+Pass a worker count >1 to generate the houses over worker processes —
+the trace, and so every number printed, is byte-identical either way.
 """
 
 import sys
 
-from repro.core.parallel import parallel_study
+from repro.core.context import ContextStudy
 from repro.workload.generate import generate_trace
 from repro.workload.scenario import ScenarioConfig
 
@@ -26,8 +26,8 @@ def main() -> None:
     config = ScenarioConfig(seed=seed, houses=10, duration=6 * 3600.0)
 
     print(f"Generating synthetic residential trace (seed={seed})...")
-    trace = generate_trace(config)
-    study = parallel_study(trace, workers=workers)
+    trace = generate_trace(config, workers=workers)
+    study = ContextStudy(trace)
     print(f"  {trace.summary()}\n")
 
     print("Table 2 — DNS information origin by connection:")

@@ -12,15 +12,14 @@ CDF, and exports the machine-readable artifacts:
 Usage:
     python examples/residential_week.py [houses] [hours] [seed] [outdir] [workers]
 
-A worker count >1 runs the hot pipeline stages (pairing and
-classification) on the sharded multiprocessing pipeline; every number
-printed is byte-identical to the serial run.
+A worker count >1 generates the houses over worker processes; the
+trace, and every number printed, is byte-identical to the serial run.
 """
 
 import os
 import sys
 
-from repro.core.parallel import parallel_study
+from repro.core.context import ContextStudy
 from repro.monitor.logs import save_conn_log, save_dns_log
 from repro.workload.generate import generate_trace
 from repro.report.figures import ascii_cdf, series_to_csv
@@ -45,7 +44,7 @@ def main() -> None:
 
     config = ScenarioConfig(seed=seed, houses=houses, duration=hours * 3600.0)
     print(f"Generating {houses} houses x {hours:.0f}h (seed={seed})...")
-    study = parallel_study(generate_trace(config), workers=workers)
+    study = ContextStudy(generate_trace(config, workers=workers))
     print(f"  {study.trace.summary()}\n")
 
     save_dns_log(os.path.join(outdir, "dns.log"), study.trace.dns)

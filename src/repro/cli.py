@@ -38,11 +38,7 @@ from repro.core.checkpoint import (
     discard_checkpoint,
 )
 from repro.core.context import ContextStudy
-from repro.core.parallel import (
-    parallel_study,
-    run_streaming_pipeline,
-    run_streaming_summary,
-)
+from repro.core.parallel import run_streaming_pipeline, run_streaming_summary
 from repro.core.streaming import reorder_records
 from repro.errors import (
     AnalysisError,
@@ -150,14 +146,8 @@ def _add_generation_sharding_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_workers_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="analysis worker processes; >1 shards the trace by household "
-        "and merges byte-identical results (default 1)",
-    )
+def _add_workers_argument(parser: argparse.ArgumentParser, help_text: str) -> None:
+    parser.add_argument("--workers", type=int, default=1, help=help_text)
 
 
 def _add_streaming_arguments(parser: argparse.ArgumentParser) -> None:
@@ -569,6 +559,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         # without the crash safety the flag asked for.
         print("analyze --checkpoint/--resume requires --streaming", file=sys.stderr)
         return 2
+    if args.workers > 1 and not args.streaming:
+        # Sharded analysis is the streaming engine; the batch path is the
+        # serial reference and would silently ignore the workers.
+        print("analyze --workers >1 requires --streaming", file=sys.stderr)
+        return 2
     if args.streaming:
         if not (args.dns and args.conn):
             print("analyze --streaming requires both --dns and --conn", file=sys.stderr)
@@ -584,7 +579,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     else:
         print("analyze requires either --pcap or both --dns and --conn", file=sys.stderr)
         return 2
-    study = parallel_study(study.trace, study.options, workers=args.workers)
     _print_report(study)
     return 0
 
@@ -609,8 +603,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             print("Cache/connection pressure:")
             print(render_pressure(pressure))
         return 0
-    study = parallel_study(trace, workers=args.workers)
-    _print_report(study)
+    _print_report(ContextStudy(trace))
     if pressure is not None:
         print()
         print("Cache/connection pressure:")
@@ -732,7 +725,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --follow: stop once no new data arrives for this many "
         "seconds (default: follow until interrupted)",
     )
-    _add_workers_argument(analyze)
+    _add_workers_argument(
+        analyze,
+        "worker processes for household streaming shards; >1 requires "
+        "--streaming (default 1)",
+    )
     _add_streaming_arguments(analyze)
     analyze.set_defaults(func=cmd_analyze)
 
@@ -745,7 +742,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="generation house shards (default: auto from --workers); the "
         "trace is byte-identical for every shard count",
     )
-    _add_workers_argument(report)
+    _add_workers_argument(
+        report,
+        "worker processes for generation shards and, with --streaming, "
+        "household streaming shards (default 1)",
+    )
     _add_streaming_arguments(report)
     report.set_defaults(func=cmd_report)
 

@@ -482,12 +482,11 @@ def pair_trace(
 
 @dataclass(frozen=True, slots=True)
 class PairingCensus:
-    """Mergeable §4 pairing counts.
+    """The §4 pairing counts.
 
-    All fields are plain counters, so per-shard censuses merge by
-    addition into exactly the census of the whole trace.
-    ``unique_viable`` counts paired connections with at most one
-    non-expired candidate — the paper's "82% have exactly one viable
+    All fields are plain counters, which the streaming engine also
+    keeps, so both engines build equal censuses. ``unique_viable``
+    counts paired connections with at most one non-expired candidate — the paper's "82% have exactly one viable
     candidate" statistic — and deliberately excludes expired candidates
     from the ambiguity measure.
     """
@@ -508,19 +507,6 @@ class PairingCensus:
             unique_viable=sum(1 for item in with_pair if item.candidates <= 1),
             expired_pairings=sum(1 for item in with_pair if item.expired_pairing),
             expired_candidates=sum(item.expired_candidates for item in with_pair),
-        )
-
-    @classmethod
-    def merge(cls, parts: Sequence["PairingCensus"]) -> "PairingCensus":
-        """Combine per-shard censuses into the whole-trace census."""
-        if not parts:
-            raise AnalysisError("cannot merge an empty collection of pairing censuses")
-        return cls(
-            conns=sum(part.conns for part in parts),
-            paired=sum(part.paired for part in parts),
-            unique_viable=sum(part.unique_viable for part in parts),
-            expired_pairings=sum(part.expired_pairings for part in parts),
-            expired_candidates=sum(part.expired_candidates for part in parts),
         )
 
     @property

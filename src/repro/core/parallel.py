@@ -1,38 +1,33 @@
-"""Sharded parallel analysis pipeline: the paper's analyses at scale.
+"""Sharded analysis and the process fan-out: the paper's analyses at scale.
 
 The paper's §4–§6 analyses are embarrassingly parallel across
 households: pairing consults only same-house lookups, classification is
 per-connection once the per-resolver SC/R thresholds are known, and the
 performance aggregates are all counts, multisets, and order-invariant
-statistics. This module exploits that structure:
+statistics. This module exploits that structure with one engine:
 
 1. **Shard** the trace by household (round-robin over the sorted house
-   addresses), preserving each connection's position in the global
-   chronological order.
-2. **Phase one** derives the per-resolver SC/R thresholds from
-   per-shard :class:`~repro.core.classify.ResolverDurationStats`
-   aggregates merged across shards — thresholds are a whole-trace
-   property and must be fixed before any shard classifies.
-3. **Phase two** fans pairing → classification → performance analysis
-   out over a :mod:`multiprocessing` pool, one task per shard.
-4. **Merge** the per-shard partial results with the merge constructors
-   on the statistics classes (:meth:`Cdf.merge`,
-   :meth:`GapAnalysis.merge`, :meth:`ClassBreakdown.merge`,
-   :meth:`LookupDelayAnalysis.merge`, :meth:`ContributionAnalysis.merge`,
-   :meth:`SignificanceQuadrant.merge`, :meth:`PairingCensus.merge`)
-   into the exact objects the serial path produces.
+   addresses, :func:`shard_by_household`).
+2. **Stream** each shard through the exact streaming engine
+   (:func:`repro.core.streaming.analyze_stream`) in its own worker,
+   fanned out by :func:`run_scenarios` over supervised fork processes
+   (:func:`repro.supervise.supervise`).
+3. **Merge** the per-shard :class:`~repro.core.streaming.StreamingState`
+   objects with :meth:`StreamingState.merge` and finalize once: the
+   SC/R thresholds are a whole-trace property, so the blocked sample is
+   split only after every shard's resolver durations are merged.
 
-**Determinism contract**: results are byte-identical to the serial path
-for any worker/shard count. Every merged statistic is either an integer
-count (merged by addition), a sorted multiset (merged by k-way merge),
-or recomputed from one of those; the random pairing policy draws from
-per-house seeded streams (``derive_seed(seed, "pairing") -> house``), so
-no draw depends on which shard — or which other households — a house is
-processed with. Workers never read the wall clock or global RNG state.
+:func:`run_pipeline` with ``workers=1`` is the serial batch pipeline —
+the reference every sharded and streaming run is compared against.
 
-On platforms with ``fork`` the shard tasks are inherited by the workers
-through copy-on-write memory instead of being pickled, so the dominant
-IPC cost is only the (small) partial results coming back.
+**Determinism contract**: results are equal to the serial path for any
+worker/shard count. Every merged statistic is either an integer count
+(merged by addition), a multiset (merged by concatenation and sorted at
+finalize), or recomputed from one of those; the random pairing policy
+draws from per-house seeded streams (``derive_seed(seed, "pairing") ->
+house``), so no draw depends on which shard — or which other households
+— a house is processed with. Workers never read the wall clock or
+global RNG state.
 """
 
 from __future__ import annotations
@@ -40,26 +35,20 @@ from __future__ import annotations
 import gc
 import multiprocessing
 import os
-import pickle
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, Sequence
 
 from repro.core.blocking import DEFAULT_BLOCKING_THRESHOLD, GapAnalysis, analyze_gaps
 from repro.core.classify import (
     ClassBreakdown,
-    ClassifiedConnection,
     Classifier,
     ResolverFailureStats,
     class_breakdown,
     collect_failure_stats,
-    collect_resolver_stats,
-    merge_failure_stats,
-    merge_resolver_stats,
-    thresholds_from_stats,
 )
-from repro.core.context import ContextStudy, StudyOptions
-from repro.core.pairing import PairedConnection, Pairer, PairingCensus
+from repro.core.context import StudyOptions
+from repro.core.pairing import Pairer, PairingCensus
 from repro.core.performance import (
     ABS_INSIGNIFICANT,
     REL_INSIGNIFICANT,
@@ -88,7 +77,7 @@ from repro.core.streaming import (
 from repro.errors import AnalysisError
 from repro.monitor.capture import Trace
 from repro.monitor.records import ConnRecord, DnsRecord
-from repro.supervise import SupervisionReport, SupervisorPolicy, supervise
+from repro.supervise import SupervisorPolicy, supervise
 
 DEFAULT_SHARDS_PER_WORKER = 4
 """Shards per worker: small enough to amortise task overhead, large
@@ -99,7 +88,7 @@ def _available_cpus() -> int:
     """CPUs this process may actually run on (affinity-aware, >= 1).
 
     A module-level seam on purpose: tests on constrained hosts
-    monkeypatch it to exercise the pool paths, and the clamp in
+    monkeypatch it to exercise the fan-out paths, and the clamp in
     :func:`run_scenarios` reads it so a 1-CPU container degrades to the
     serial path instead of paying fork-and-pickle overhead for a
     slower-than-serial "parallel" run.
@@ -218,58 +207,13 @@ def merge_pressure_stats(parts: Sequence[PressureStats]) -> PressureStats:
 
 
 @dataclass(frozen=True, slots=True)
-class ShardTask:
-    """Everything one worker needs to analyse one household shard.
-
-    ``conn_indices[i]`` is the position of ``conns[i]`` in the global
-    chronological order, letting the parent scatter per-connection
-    results back into exactly the serial output order.
-    """
-
-    shard_id: int
-    dns_records: tuple[DnsRecord, ...]
-    conns: tuple[ConnRecord, ...]
-    conn_indices: tuple[int, ...]
-    thresholds: dict[str, float]
-    options: StudyOptions
-    blocking_threshold: float
-    abs_threshold: float
-    rel_threshold: float
-    collect_connections: bool
-
-
-@dataclass(frozen=True, slots=True)
-class ShardResult:
-    """One shard's partial analyses, ready to merge.
-
-    The per-population analyses are None when the shard lacks that
-    population (e.g. no blocked connections); the merge step skips
-    Nones and raises only when *every* shard lacked the population —
-    mirroring the serial error behaviour.
-    """
-
-    shard_id: int
-    census: PairingCensus
-    breakdown: ClassBreakdown
-    gaps: GapAnalysis | None
-    delays: LookupDelayAnalysis | None
-    contribution: ContributionAnalysis | None
-    quadrant: SignificanceQuadrant | None
-    indexed_classified: tuple[tuple[int, ClassifiedConnection], ...] | None
-    failure_stats: dict[str, ResolverFailureStats] = field(default_factory=dict)
-
-
-@dataclass(frozen=True, slots=True)
 class PipelineResult:
-    """The merged output of one pipeline run.
+    """The §4–§6 output of one pipeline run.
 
     Analysis fields compare by value, so two runs over the same trace
     and options are ``==`` regardless of worker count — the golden
     equality the parallel tests pin. ``workers``/``shards`` are
-    execution metadata and excluded from comparison, as is
-    ``recovered_shards`` — which shard needed a serial retry is
-    provenance about the *run*, not the analysis: a recovered run's
-    statistics still compare equal to an undisturbed one.
+    execution metadata and excluded from comparison.
     """
 
     census: PairingCensus
@@ -280,36 +224,21 @@ class PipelineResult:
     quadrant: SignificanceQuadrant
     thresholds: dict[str, float]
     failure_stats: dict[str, ResolverFailureStats] = field(default_factory=dict)
-    classified: tuple[ClassifiedConnection, ...] | None = None
     workers: int = field(default=1, compare=False)
     shards: int = field(default=1, compare=False)
-    recovered_shards: tuple[int, ...] = field(default=(), compare=False)
-    supervision: SupervisionReport | None = field(default=None, compare=False)
-
-    @property
-    def partial_recovery(self) -> bool:
-        """Did any worker shard crash and get retried serially?"""
-        return bool(self.recovered_shards)
-
-    @property
-    def paired(self) -> tuple[PairedConnection, ...] | None:
-        """The pairings behind ``classified`` (None unless collected)."""
-        if self.classified is None:
-            return None
-        return tuple(item.pairing for item in self.classified)
 
 
 def shard_by_household(
     dns_records: Sequence[DnsRecord],
     conns: Sequence[ConnRecord],
     shards: int,
-) -> list[tuple[list[DnsRecord], list[ConnRecord], list[int]]]:
+) -> list[tuple[list[DnsRecord], list[ConnRecord]]]:
     """Partition a trace into *shards* household-disjoint sub-traces.
 
     Houses are assigned round-robin over the sorted house addresses, so
-    the partition is deterministic. Connections keep their global
-    chronological order (and its index) within each shard; DNS records
-    follow their originating house.
+    the partition is deterministic. Both logs follow their originating
+    house in chronological order (a stable sort on ``ts``), which is the
+    order the streaming engine consumes them in.
     """
     if shards < 1:
         raise AnalysisError(f"shard count must be positive, got {shards}")
@@ -317,187 +246,12 @@ def shard_by_household(
         {record.orig_h for record in dns_records} | {conn.orig_h for conn in conns}
     )
     assignment = {house: index % shards for index, house in enumerate(houses)}
-    parts: list[tuple[list[DnsRecord], list[ConnRecord], list[int]]] = [
-        ([], [], []) for _ in range(shards)
-    ]
-    for record in dns_records:
+    parts: list[tuple[list[DnsRecord], list[ConnRecord]]] = [([], []) for _ in range(shards)]
+    for record in sorted(dns_records, key=lambda record: record.ts):
         parts[assignment[record.orig_h]][0].append(record)
-    ordered = sorted(conns, key=lambda conn: conn.ts)
-    for index, conn in enumerate(ordered):
-        dns_part, conn_part, index_part = parts[assignment[conn.orig_h]]
-        conn_part.append(conn)
-        index_part.append(index)
+    for conn in sorted(conns, key=lambda conn: conn.ts):
+        parts[assignment[conn.orig_h]][1].append(conn)
     return parts
-
-
-def analyze_shard(task: ShardTask) -> ShardResult:
-    """Run pairing → classification → performance analysis on one shard.
-
-    This is byte-for-byte the serial pipeline restricted to the shard's
-    households: the same :class:`Pairer`, the same :class:`Classifier`
-    (with the globally merged thresholds injected), and the same
-    aggregate functions.
-    """
-    pairer = Pairer(
-        list(task.dns_records),
-        policy=task.options.pairing_policy,
-        seed=task.options.pairing_seed,
-    )
-    paired = pairer.pair_all(list(task.conns))
-    classifier = Classifier([], config=task.options.classifier, thresholds=task.thresholds)
-    classified = classifier.classify_all(paired)
-    indexed: tuple[tuple[int, ClassifiedConnection], ...] | None = None
-    if task.collect_connections:
-        indexed = tuple(zip(task.conn_indices, classified))
-    return ShardResult(
-        shard_id=task.shard_id,
-        census=PairingCensus.from_paired(paired),
-        breakdown=class_breakdown(classified),
-        gaps=_try_analysis(lambda: analyze_gaps(paired, blocking_threshold=task.blocking_threshold)),
-        delays=_try_analysis(lambda: lookup_delay_analysis(classified)),
-        contribution=_try_analysis(lambda: contribution_analysis(classified)),
-        quadrant=_try_analysis(
-            lambda: significance_quadrant(classified, task.abs_threshold, task.rel_threshold)
-        ),
-        indexed_classified=indexed,
-        failure_stats=collect_failure_stats(list(task.dns_records)),
-    )
-
-
-_T = TypeVar("_T")
-
-
-def _try_analysis(compute: Callable[[], _T]) -> _T | None:
-    """Run one aggregate, mapping empty-population errors to None."""
-    try:
-        return compute()
-    except AnalysisError:
-        return None
-
-
-def _merge_present(
-    parts: Sequence[_T | None], merge: Callable[[list[_T]], _T], empty_message: str
-) -> _T:
-    """Merge the non-None partials, raising like the serial path if none."""
-    present = [part for part in parts if part is not None]
-    if not present:
-        raise AnalysisError(empty_message)
-    return merge(present)
-
-
-class ShardCrashError(RuntimeError):
-    """A deliberately injected worker-shard crash (testing only)."""
-
-
-#: Shard ids whose *pool* execution raises, exercising the serial-retry
-#: recovery path. Set via monkeypatch in tests; the serial retry calls
-#: :func:`analyze_shard` directly and therefore bypasses this hook.
-_CRASH_SHARDS_FOR_TESTING: frozenset[int] = frozenset()
-
-#: Exception types treated as a worker failure worth a serial retry.
-#: Anything else (e.g. :class:`AnalysisError` from bad inputs) would
-#: fail identically in the parent and is allowed to propagate.
-_WORKER_FAILURES = (
-    OSError,
-    RuntimeError,
-    MemoryError,
-    multiprocessing.ProcessError,
-    pickle.PickleError,
-)
-
-
-def _maybe_crash(shard_id: int) -> None:
-    if shard_id in _CRASH_SHARDS_FOR_TESTING:
-        raise ShardCrashError(f"injected crash for shard {shard_id}")
-
-
-def _supervised_shard(task: ShardTask) -> ShardResult:
-    """Supervised worker entry: the crash hook, then the real analysis.
-
-    The parent's final serial retry calls :func:`analyze_shard` directly
-    and therefore bypasses the test-only crash injection — exactly the
-    asymmetry the recovery tests rely on.
-    """
-    _maybe_crash(task.shard_id)
-    return analyze_shard(task)
-
-
-def _analyze_shard_task(task: ShardTask) -> ShardResult:
-    """Pickling-mode worker entry (non-fork start methods)."""
-    _maybe_crash(task.shard_id)
-    return analyze_shard(task)
-
-
-def _disable_worker_gc() -> None:
-    """Pool initializer: workers are short-lived, cyclic GC only costs.
-
-    With GC left on, every collection in a forked child walks the
-    inherited heap (the whole trace), un-sharing its copy-on-write pages
-    — measurably slower than the analysis itself on large traces.
-    """
-    gc.disable()
-
-
-def _collect_with_recovery(
-    pending: "list[multiprocessing.pool.AsyncResult]",
-    tasks: list[ShardTask],
-) -> tuple[list[ShardResult], tuple[int, ...]]:
-    """Gather per-shard results, retrying crashed shards serially.
-
-    A shard whose worker raised is re-run in the parent with
-    :func:`analyze_shard` — the exact code path a ``workers=1`` run
-    takes — so the merged output stays byte-identical to the serial
-    pipeline; the retried shard ids are reported as provenance.
-    """
-    results: list[ShardResult] = []
-    recovered: list[int] = []
-    for index, handle in enumerate(pending):
-        try:
-            results.append(handle.get())
-        except _WORKER_FAILURES:
-            results.append(analyze_shard(tasks[index]))
-            recovered.append(tasks[index].shard_id)
-    return results, tuple(recovered)
-
-
-def _run_tasks(
-    tasks: list[ShardTask], workers: int, supervisor: SupervisorPolicy | None = None
-) -> tuple[list[ShardResult], tuple[int, ...], SupervisionReport | None]:
-    """Execute shard tasks over supervised workers (fork-aware).
-
-    Under ``fork`` each shard runs in a supervised process
-    (:func:`repro.supervise.supervise`): tasks are inherited through
-    copy-on-write memory instead of being pickled, the parent heap is
-    frozen out of GC for the fan-out's lifetime so the children's
-    copy-on-write pages stay shared, and the supervisor adds heartbeats,
-    deadlines, and bounded restarts on top of the serial-retry recovery.
-    Other start methods fall back to pickling the tasks over a plain
-    pool. Either way, a shard whose worker dies is recovered by a serial
-    retry in the parent; the returned tuple lists the recovered shard
-    ids, plus the supervision report where one exists.
-    """
-    start_methods = multiprocessing.get_all_start_methods()
-    if "fork" in start_methods:
-        try:
-            gc.freeze()
-            results, report = supervise(
-                tasks,
-                _supervised_shard,
-                workers,
-                policy=supervisor,
-                parent_run=analyze_shard,
-                label="shard",
-            )
-        finally:
-            gc.unfreeze()
-        recovered = tuple(tasks[index].shard_id for index in report.recovered_indices)
-        return results, recovered, report
-    with multiprocessing.get_context().Pool(
-        processes=workers, initializer=_disable_worker_gc
-    ) as pool:
-        pending = [pool.apply_async(_analyze_shard_task, (task,)) for task in tasks]
-        results, recovered = _collect_with_recovery(pending, tasks)
-        return results, recovered, None
 
 
 #: Scenario fan-out state: ``(task callable, config list)`` of the one
@@ -520,44 +274,18 @@ def in_scenario_fanout() -> bool:
     return _SCENARIO_FANOUT is not None
 
 
-def _run_scenario_call(task: Callable, config):
-    """Pickling-mode worker entry (non-fork start methods)."""
-    return task(config)
-
-
-def _collect_scenarios(
-    pending: "list[multiprocessing.pool.AsyncResult]",
-    configs: list,
-    task: Callable,
-) -> list:
-    """Gather per-scenario results in config order, retrying crashes serially.
-
-    Mirrors :func:`_collect_with_recovery`: a scenario whose worker died
-    is re-run in the parent with the same callable — the exact code path
-    a ``workers=1`` run takes — so recovery cannot change the results.
-    """
-    results = []
-    for index, handle in enumerate(pending):
-        try:
-            results.append(handle.get())
-        except _WORKER_FAILURES:
-            results.append(task(configs[index]))
-    return results
-
-
 def run_scenarios(
     configs: Sequence,
     task: Callable,
     workers: int = 1,
     supervisor: SupervisorPolicy | None = None,
 ) -> list:
-    """Map *task* over *configs* on a process pool, results in config order.
+    """Map *task* over *configs* on worker processes, results in config order.
 
-    The multi-scenario analogue of :func:`run_pipeline`'s sharding:
-    sweeps and calibration runs execute many independent scenarios, and
-    each scenario's generation is a pure function of its config (every
-    random draw comes from streams derived from ``config.seed``; the
-    library never reads the wall clock), so fanning the scenarios out
+    The one fan-out: sweeps and calibration runs, generation house
+    shards and streaming analysis shards all go through it. Each task is
+    a pure function of its config (every random draw comes from seeded
+    streams; the library never reads the wall clock), so fanning out
     over processes is trivially byte-identical to the serial loop —
     ``run_scenarios(configs, task, workers=n) == [task(c) for c in
     configs]`` for every ``n``.
@@ -565,11 +293,12 @@ def run_scenarios(
     ``task`` receives one element of *configs* and must return a
     picklable value; keep returns small (summaries, digests) — a full
     week-scale :class:`~repro.monitor.capture.Trace` round-trips through
-    pickle and erodes the speedup. Under ``fork`` the configs and the
-    callable are inherited through copy-on-write memory (closures work);
-    other start methods pickle both, so there ``task`` must be a
-    module-level callable. A scenario whose worker dies is recovered by
-    a serial retry in the parent.
+    pickle and erodes the speedup. Each scenario runs in a process
+    supervised by :func:`repro.supervise.supervise`, which inherits the
+    configs and the callable through ``fork`` copy-on-write memory
+    (closures work) and recovers a scenario whose worker dies with a
+    serial retry in the parent. Without ``fork`` the fan-out runs as the
+    serial loop.
 
     Requested workers are clamped to the CPUs actually available to the
     process (one line on stderr records the reduction): oversubscribing
@@ -588,95 +317,42 @@ def run_scenarios(
             file=sys.stderr,
         )
         workers = cpu_limit
-    if workers == 1 or len(configs) <= 1:
+    if (
+        workers == 1
+        or len(configs) <= 1
+        or "fork" not in multiprocessing.get_all_start_methods()
+    ):
         return [task(config) for config in configs]
     global _SCENARIO_FANOUT
-    processes = min(workers, len(configs))
-    if "fork" in multiprocessing.get_all_start_methods():
-        if _SCENARIO_FANOUT is not None:
-            # The fan-out state is a process-wide single slot; a task that
-            # itself calls run_scenarios (or a second thread fanning out
-            # concurrently) would overwrite it and dispatch the wrong
-            # scenarios. Fail loudly instead of corrupting results.
-            raise AnalysisError(
-                "run_scenarios() is already fanning out in this process; "
-                "nested or concurrent multi-worker sweeps are not supported "
-                "(run the inner call with workers=1)"
-            )
-        # Assign inside the try so any failure path (gc.freeze, process
-        # spawn) still clears the slot — a leaked fan-out would make
-        # the not-None nesting guard above reject every later sweep in
-        # this process.
-        try:
-            _SCENARIO_FANOUT = (task, configs)
-            gc.freeze()
-            results, _report = supervise(
-                configs,
-                task,
-                processes,
-                policy=supervisor,
-                label="scenario",
-            )
-            return results
-        finally:
-            gc.unfreeze()
-            _SCENARIO_FANOUT = None
-    with multiprocessing.get_context().Pool(
-        processes=processes, initializer=_disable_worker_gc
-    ) as pool:
-        pending = [pool.apply_async(_run_scenario_call, (task, config)) for config in configs]
-        return _collect_scenarios(pending, configs, task)
-
-
-def _merge_results(
-    results: list[ShardResult],
-    thresholds: dict[str, float],
-    total_conns: int,
-    collect_connections: bool,
-    workers: int,
-    recovered_shards: tuple[int, ...] = (),
-    supervision: SupervisionReport | None = None,
-) -> PipelineResult:
-    """Merge per-shard partials into the serial path's exact objects."""
-    classified: tuple[ClassifiedConnection, ...] | None = None
-    if collect_connections:
-        slots: list[ClassifiedConnection | None] = [None] * total_conns
-        for result in results:
-            assert result.indexed_classified is not None
-            for index, item in result.indexed_classified:
-                slots[index] = item
-        if any(item is None for item in slots):
-            raise AnalysisError("shard results did not cover every connection")
-        classified = tuple(item for item in slots if item is not None)
-    return PipelineResult(
-        census=PairingCensus.merge([result.census for result in results]),
-        breakdown=ClassBreakdown.merge([result.breakdown for result in results]),
-        gap_analysis=_merge_present(
-            [result.gaps for result in results],
-            GapAnalysis.merge,
-            "no paired connections: cannot analyse gaps",
-        ),
-        lookup_delays=_merge_present(
-            [result.delays for result in results],
-            LookupDelayAnalysis.merge,
-            "no blocked connections: cannot analyse lookup delays",
-        ),
-        contribution=_merge_present(
-            [result.contribution for result in results],
-            ContributionAnalysis.merge,
-            "no blocked connections: cannot analyse contribution",
-        ),
-        quadrant=SignificanceQuadrant.merge(
-            [result.quadrant for result in results if result.quadrant is not None]
-        ),
-        thresholds=thresholds,
-        failure_stats=merge_failure_stats([result.failure_stats for result in results]),
-        classified=classified,
-        workers=workers,
-        shards=len(results),
-        recovered_shards=recovered_shards,
-        supervision=supervision,
-    )
+    if _SCENARIO_FANOUT is not None:
+        # The fan-out state is a process-wide single slot; a task that
+        # itself calls run_scenarios (or a second thread fanning out
+        # concurrently) would overwrite it and dispatch the wrong
+        # scenarios. Fail loudly instead of corrupting results.
+        raise AnalysisError(
+            "run_scenarios() is already fanning out in this process; "
+            "nested or concurrent multi-worker sweeps are not supported "
+            "(run the inner call with workers=1)"
+        )
+    # Assign inside the try so any failure path (gc.freeze, process
+    # spawn) still clears the slot — a leaked fan-out would make the
+    # not-None nesting guard above reject every later sweep in this
+    # process. Freezing the parent heap out of GC keeps the children's
+    # copy-on-write pages shared.
+    try:
+        _SCENARIO_FANOUT = (task, configs)
+        gc.freeze()
+        results, _report = supervise(
+            configs,
+            task,
+            min(workers, len(configs)),
+            policy=supervisor,
+            label="scenario",
+        )
+        return results
+    finally:
+        gc.unfreeze()
+        _SCENARIO_FANOUT = None
 
 
 def _serial_pipeline(
@@ -685,9 +361,8 @@ def _serial_pipeline(
     blocking_threshold: float,
     abs_threshold: float,
     rel_threshold: float,
-    collect_connections: bool,
 ) -> PipelineResult:
-    """The reference single-process pipeline (no sharding, no pool)."""
+    """The reference single-process batch pipeline (no sharding)."""
     pairer = Pairer(
         trace.dns, policy=options.pairing_policy, seed=options.pairing_seed
     )
@@ -703,9 +378,6 @@ def _serial_pipeline(
         quadrant=significance_quadrant(classified, abs_threshold, rel_threshold),
         thresholds=classifier.thresholds,
         failure_stats=collect_failure_stats(trace.dns),
-        classified=tuple(classified) if collect_connections else None,
-        workers=1,
-        shards=1,
     )
 
 
@@ -713,22 +385,20 @@ def run_pipeline(
     trace: Trace,
     options: StudyOptions | None = None,
     workers: int = 1,
-    shards: int | None = None,
     blocking_threshold: float = DEFAULT_BLOCKING_THRESHOLD,
     abs_threshold: float = ABS_INSIGNIFICANT,
     rel_threshold: float = REL_INSIGNIFICANT,
-    collect_connections: bool = False,
     supervisor: SupervisorPolicy | None = None,
 ) -> PipelineResult:
-    """Run the §4–§6 analysis pipeline, optionally over a worker pool.
+    """Run the §4–§6 analysis pipeline, optionally over worker processes.
 
-    ``workers=1`` runs the plain serial pipeline in-process. With
-    ``workers>1`` the trace is sharded by household
-    (``shards`` defaults to ``workers * DEFAULT_SHARDS_PER_WORKER``,
-    capped at the number of houses) and analysed on a multiprocessing
-    pool; the merged result is byte-identical to ``workers=1``. Set
-    ``collect_connections`` to also return every classified connection
-    in serial (chronological) order.
+    ``workers=1`` runs the serial batch pipeline in-process — the
+    reference every parity test compares against. With ``workers>1``
+    the trace is sharded by household and each shard is one-passed by
+    the exact streaming engine in a supervised worker (*supervisor*
+    tunes restarts and deadlines); the merged
+    :class:`~repro.core.streaming.StreamingState` finalizes to a result
+    equal to ``workers=1``.
     """
     options = options if options is not None else StudyOptions()
     if not trace.conns:
@@ -737,70 +407,23 @@ def run_pipeline(
         raise AnalysisError(f"worker count must be positive, got {workers}")
     if workers == 1:
         return _serial_pipeline(
-            trace, options, blocking_threshold, abs_threshold, rel_threshold,
-            collect_connections,
+            trace, options, blocking_threshold, abs_threshold, rel_threshold
         )
-    houses = {conn.orig_h for conn in trace.conns} | {record.orig_h for record in trace.dns}
-    shard_count = shards if shards is not None else workers * DEFAULT_SHARDS_PER_WORKER
-    shard_count = max(1, min(shard_count, len(houses)))
-    parts = shard_by_household(trace.dns, trace.conns, shard_count)
-    # Phase one: whole-trace SC/R thresholds from merged per-shard stats.
-    resolver_stats = merge_resolver_stats(
-        [collect_resolver_stats(dns_part) for dns_part, _, _ in parts]
+    config = StreamingConfig(
+        options=options,
+        exact=True,
+        blocking_threshold=blocking_threshold,
+        abs_threshold=abs_threshold,
+        rel_threshold=rel_threshold,
     )
-    thresholds = thresholds_from_stats(resolver_stats, options.classifier.threshold_policy)
-    # Phase two: fan the per-shard analyses out over the pool.
-    tasks = [
-        ShardTask(
-            shard_id=shard_id,
-            dns_records=tuple(dns_part),
-            conns=tuple(conn_part),
-            conn_indices=tuple(index_part),
-            thresholds=thresholds,
-            options=options,
-            blocking_threshold=blocking_threshold,
-            abs_threshold=abs_threshold,
-            rel_threshold=rel_threshold,
-            collect_connections=collect_connections,
-        )
-        for shard_id, (dns_part, conn_part, index_part) in enumerate(parts)
-    ]
-    results, recovered, report = _run_tasks(tasks, workers, supervisor)
-    return _merge_results(
-        results, thresholds, len(trace.conns), collect_connections, workers, recovered,
-        report,
+    state, shard_count = _run_streaming(
+        trace.dns, trace.conns, config, workers, supervisor=supervisor
     )
+    return _pipeline_result(state, config, workers, shard_count)
 
-
-def parallel_study(
-    trace: Trace,
-    options: StudyOptions | None = None,
-    workers: int = 1,
-) -> ContextStudy:
-    """A :class:`ContextStudy` whose hot stages ran on a worker pool.
-
-    Pairing and classification — the pipeline's dominant cost — are
-    computed in parallel and installed into the study's caches; every
-    analysis method (including the §5/§7/§8 ones that are not sharded)
-    then sees exactly the objects the serial study would compute.
-    """
-    study = ContextStudy(trace, options)
-    if workers > 1:
-        result = run_pipeline(
-            trace, options=study.options, workers=workers, collect_connections=True
-        )
-        assert result.classified is not None
-        classified = list(result.classified)
-        # Pre-populate the cached_property slots with the merged stages.
-        study.__dict__["classified"] = classified
-        study.__dict__["paired"] = [item.pairing for item in classified]
-        study.__dict__["classifier"] = Classifier(
-            [], config=study.options.classifier, thresholds=result.thresholds
-        )
-    return study
 
 @dataclass(frozen=True, slots=True)
-class StreamingShardTask:
+class StreamingShard:
     """One household shard of a streaming run (a `run_scenarios` config)."""
 
     shard_id: int
@@ -809,8 +432,8 @@ class StreamingShardTask:
     config: StreamingConfig
 
 
-def _stream_shard(task: StreamingShardTask) -> StreamingState:
-    """One-pass a single household shard (module-level for spawn pools)."""
+def _stream_shard(task: StreamingShard) -> StreamingState:
+    """One-pass a single household shard (the worker entry)."""
     return analyze_stream(task.dns_records, task.conns, task.config)
 
 
@@ -822,8 +445,9 @@ def _run_streaming(
     checkpoint: CheckpointConfig | None = None,
     resume: bool = False,
     checkpoint_telemetry: CheckpointTelemetry | None = None,
+    supervisor: SupervisorPolicy | None = None,
 ) -> tuple[StreamingState, int]:
-    """Shared driver of the streaming entry points.
+    """Run the streaming engine for every streaming entry point and sharded run.
 
     ``workers=1`` consumes the record iterables lazily — this is the
     memory-bounded path, and the only one that accepts true streams.
@@ -833,7 +457,8 @@ def _run_streaming(
     paths finalize identically. *checkpoint* makes the single-stream
     path crash-safe (:func:`repro.core.checkpoint.run_checkpointed_stream`);
     checkpointing a sharded run is rejected — one checkpoint file cannot
-    describe many independent stream frontiers.
+    describe many independent stream frontiers. *supervisor* tunes the
+    shard fan-out (:func:`run_scenarios`).
     """
     if workers < 1:
         raise AnalysisError(f"worker count must be positive, got {workers}")
@@ -862,15 +487,35 @@ def _run_streaming(
     shard_count = max(1, min(workers * DEFAULT_SHARDS_PER_WORKER, len(houses)))
     parts = shard_by_household(dns_list, conn_list, shard_count)
     tasks = [
-        StreamingShardTask(
+        StreamingShard(
             shard_id=shard_id,
             dns_records=tuple(dns_part),
             conns=tuple(conn_part),
             config=config,
         )
-        for shard_id, (dns_part, conn_part, _) in enumerate(parts)
+        for shard_id, (dns_part, conn_part) in enumerate(parts)
     ]
-    return StreamingState.merge(run_scenarios(tasks, _stream_shard, workers)), len(tasks)
+    states = run_scenarios(tasks, _stream_shard, workers, supervisor=supervisor)
+    return StreamingState.merge(states), len(tasks)
+
+
+def _pipeline_result(
+    state: StreamingState, config: StreamingConfig, workers: int, shards: int
+) -> PipelineResult:
+    """Finalize an exact streaming state into the batch result type."""
+    result = finalize_result(state, config)
+    return PipelineResult(
+        census=result.census,
+        breakdown=result.breakdown,
+        gap_analysis=result.gap_analysis,
+        lookup_delays=result.lookup_delays,
+        contribution=result.contribution,
+        quadrant=result.quadrant,
+        thresholds=result.thresholds,
+        failure_stats=result.failure_stats,
+        workers=workers,
+        shards=shards,
+    )
 
 
 def run_streaming_pipeline(
@@ -910,20 +555,7 @@ def run_streaming_pipeline(
     state, shard_count = _run_streaming(
         dns_records, conns, config, workers, checkpoint, resume, checkpoint_telemetry
     )
-    result = finalize_result(state, config)
-    return PipelineResult(
-        census=result.census,
-        breakdown=result.breakdown,
-        gap_analysis=result.gap_analysis,
-        lookup_delays=result.lookup_delays,
-        contribution=result.contribution,
-        quadrant=result.quadrant,
-        thresholds=result.thresholds,
-        failure_stats=result.failure_stats,
-        classified=None,
-        workers=workers,
-        shards=shard_count,
-    )
+    return _pipeline_result(state, config, workers, shard_count)
 
 
 def run_streaming_summary(

@@ -8,7 +8,6 @@ analysis module stays readable.
 from __future__ import annotations
 
 import bisect
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -70,20 +69,6 @@ class Cdf:
             raise AnalysisError("cannot build a CDF from no samples")
         return cls(xs)
 
-    @classmethod
-    def merge(cls, cdfs: Sequence["Cdf"]) -> "Cdf":
-        """Combine per-shard CDFs into the CDF of the pooled samples.
-
-        The result is identical to :meth:`from_values` over the
-        concatenated samples, independent of how the samples were split
-        across *cdfs* — the merge contract the parallel pipeline relies
-        on. Each input is already sorted, so the merge is a linear-time
-        k-way merge rather than a fresh sort.
-        """
-        if not cdfs:
-            raise AnalysisError("cannot merge an empty collection of CDFs")
-        return cls(tuple(heapq.merge(*(cdf.xs for cdf in cdfs))))
-
     def __len__(self) -> int:
         return len(self.xs)
 
@@ -106,11 +91,7 @@ class Cdf:
         return self.quantile(0.5)
 
     def summarize(self) -> dict[str, float]:
-        """The :func:`summarize` digest of this CDF's samples.
-
-        Together with :meth:`merge` this makes summaries mergeable:
-        merge the per-shard CDFs, then summarise the merged CDF.
-        """
+        """The :func:`summarize` digest of this CDF's samples."""
         return summarize(self.xs)
 
     def series(self, points: int = 200) -> list[tuple[float, float]]:

@@ -234,18 +234,6 @@ class TestPairingCensus:
         assert census.ambiguity_fraction == pytest.approx(0.5)
         assert census.expired_pairing_fraction == pytest.approx(0.5)
 
-    def test_merge_equals_pooled(self):
-        paired = self._paired()
-        pooled = PairingCensus.from_paired(paired)
-        merged = PairingCensus.merge(
-            [PairingCensus.from_paired(paired[:1]), PairingCensus.from_paired(paired[1:])]
-        )
-        assert merged == pooled
-
-    def test_merge_empty_rejected(self):
-        with pytest.raises(AnalysisError):
-            PairingCensus.merge([])
-
     def test_empty_census_fractions(self):
         census = PairingCensus.from_paired([])
         assert census.ambiguity_fraction == 0.0

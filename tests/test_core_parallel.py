@@ -1,26 +1,44 @@
-"""The sharded parallel pipeline must reproduce the serial path exactly."""
+"""Sharded streaming analysis must reproduce the serial batch path exactly."""
 
 import os
 
 import pytest
 
-from repro.core.classify import ClassifierConfig
 from repro.core.context import ContextStudy, StudyOptions
 from repro.core.pairing import PairingPolicy
 from repro.core.parallel import (
     DEFAULT_SHARDS_PER_WORKER,
     effective_worker_count,
-    parallel_study,
     run_pipeline,
     run_scenarios,
     shard_by_household,
 )
+from repro.core.streaming import StreamingConfig, StreamingState, analyze_stream, finalize_result
 from repro.errors import AnalysisError
 from repro.monitor.capture import Trace, trace_digest
+from repro.report.tables import render_pipeline_report
 from repro.workload.generate import generate_trace
 from repro.workload.scenario import ScenarioConfig
 
 _PARENT_PID = os.getpid()
+
+HOUSES = 8
+
+ANALYSIS_FIELDS = (
+    "census",
+    "breakdown",
+    "gap_analysis",
+    "lookup_delays",
+    "contribution",
+    "quadrant",
+    "thresholds",
+    "failure_stats",
+)
+
+
+def _analysis(result) -> dict:
+    """The compared payload of a pipeline or streaming result."""
+    return {name: getattr(result, name) for name in ANALYSIS_FIELDS}
 
 
 def _square(value: int) -> int:
@@ -40,28 +58,28 @@ def _tiny_scenario_digest(config: ScenarioConfig) -> str:
 
 @pytest.fixture(scope="module")
 def trace() -> Trace:
-    return generate_trace(ScenarioConfig(seed=11, houses=8, duration=2 * 3600.0))
+    return generate_trace(ScenarioConfig(seed=11, houses=HOUSES, duration=2 * 3600.0))
 
 
 @pytest.fixture(scope="module")
 def serial(trace):
-    return run_pipeline(trace, workers=1, collect_connections=True)
+    return run_pipeline(trace, workers=1)
 
 
 def test_sharding_partitions_households(trace):
     parts = shard_by_household(trace.dns, trace.conns, 3)
     assert len(parts) == 3
     houses_per_shard = [
-        {r.orig_h for r in dns} | {c.orig_h for c in conns}
-        for dns, conns, _ in parts
+        {r.orig_h for r in dns} | {c.orig_h for c in conns} for dns, conns in parts
     ]
     for i, left in enumerate(houses_per_shard):
         for right in houses_per_shard[i + 1 :]:
             assert not (left & right)
-    assert sum(len(conns) for _, conns, _ in parts) == len(trace.conns)
-    assert sum(len(dns) for dns, _, _ in parts) == len(trace.dns)
-    all_indices = sorted(i for _, _, idx in parts for i in idx)
-    assert all_indices == list(range(len(trace.conns)))
+    assert sum(len(conns) for _, conns in parts) == len(trace.conns)
+    assert sum(len(dns) for dns, _ in parts) == len(trace.dns)
+    for dns, conns in parts:
+        assert [r.ts for r in dns] == sorted(r.ts for r in dns)
+        assert [c.ts for c in conns] == sorted(c.ts for c in conns)
 
 
 def test_sharding_rejects_nonpositive_count(trace):
@@ -71,10 +89,10 @@ def test_sharding_rejects_nonpositive_count(trace):
 
 @pytest.mark.parametrize("workers", [2, 4])
 def test_parallel_equals_serial(trace, serial, workers):
-    parallel = run_pipeline(trace, workers=workers, collect_connections=True)
+    parallel = run_pipeline(trace, workers=workers)
     assert parallel == serial
-    assert parallel.classified == serial.classified
     assert parallel.thresholds == serial.thresholds
+    assert render_pipeline_report(parallel) == render_pipeline_report(serial)
 
 
 @pytest.mark.parametrize("workers", [2, 4])
@@ -82,28 +100,41 @@ def test_parallel_equals_serial_random_policy(trace, workers):
     options = StudyOptions(
         pairing_policy=PairingPolicy.RANDOM_NON_EXPIRED, pairing_seed=7
     )
-    serial = run_pipeline(trace, options, workers=1, collect_connections=True)
-    parallel = run_pipeline(trace, options, workers=workers, collect_connections=True)
+    serial = run_pipeline(trace, options, workers=1)
+    parallel = run_pipeline(trace, options, workers=workers)
     assert parallel == serial
-    assert parallel.classified == serial.classified
+    assert render_pipeline_report(parallel) == render_pipeline_report(serial)
+
+
+def test_parallel_accepts_unordered_logs(trace, serial):
+    # The streaming shards need time-ordered logs; the batch reference
+    # does not, so sharding restores the order itself.
+    shuffled = Trace(dns=list(reversed(trace.dns)), conns=list(reversed(trace.conns)))
+    assert run_pipeline(shuffled, workers=2) == serial
 
 
 def test_shard_count_override(trace, serial):
-    parallel = run_pipeline(trace, workers=2, shards=5, collect_connections=True)
-    assert parallel.shards == 5
-    assert parallel == serial
+    """Any shard count — one, a few, one per house — streams each shard
+    independently and merges to the serial batch result."""
+    config = StreamingConfig()
+    for shards in (1, 3, HOUSES):
+        parts = shard_by_household(trace.dns, trace.conns, shards)
+        merged = StreamingState.merge(
+            [analyze_stream(dns, conns, config) for dns, conns in parts]
+        )
+        assert _analysis(finalize_result(merged, config)) == _analysis(serial), shards
 
 
 def test_more_shards_than_houses_clamps(trace, serial):
-    parallel = run_pipeline(trace, workers=4, shards=100)
-    assert parallel.shards == 8  # the scenario has 8 houses
-    assert parallel.census == serial.census
-    assert parallel.breakdown == serial.breakdown
+    parallel = run_pipeline(trace, workers=4)
+    assert 4 * DEFAULT_SHARDS_PER_WORKER > HOUSES
+    assert parallel.shards == HOUSES
+    assert parallel == serial
 
 
 def test_default_shard_count(trace):
     parallel = run_pipeline(trace, workers=2)
-    assert parallel.shards == min(8, 2 * DEFAULT_SHARDS_PER_WORKER)
+    assert parallel.shards == min(HOUSES, 2 * DEFAULT_SHARDS_PER_WORKER)
 
 
 def test_pipeline_matches_context_study(trace, serial):
@@ -114,21 +145,8 @@ def test_pipeline_matches_context_study(trace, serial):
     assert serial.lookup_delays == study.lookup_delays()
     assert serial.contribution == study.contribution()
     assert serial.quadrant == study.significance_quadrant()
-    assert serial.classified == tuple(study.classified)
-    assert serial.paired == tuple(study.paired)
-
-
-def test_parallel_study_matches_serial_study(trace):
-    options = StudyOptions(classifier=ClassifierConfig())
-    reference = ContextStudy(trace, options)
-    study = parallel_study(trace, options, workers=4)
-    assert study.classified == reference.classified
-    assert study.paired == reference.paired
-    assert study.classifier.thresholds == reference.classifier.thresholds
-    assert study.breakdown == reference.breakdown
-    # Downstream (non-sharded) analyses run off the injected caches.
-    assert study.ttl_violations() == reference.ttl_violations()
-    assert study.hit_rates() == reference.hit_rates()
+    assert serial.thresholds == study.classifier.thresholds
+    assert serial.failure_stats == study.failure_stats()
 
 
 def test_run_pipeline_rejects_bad_workers(trace):
@@ -139,12 +157,6 @@ def test_run_pipeline_rejects_bad_workers(trace):
 def test_run_pipeline_rejects_empty_trace():
     with pytest.raises(AnalysisError):
         run_pipeline(Trace(dns=[], conns=[]), workers=2)
-
-
-def test_collect_connections_off_by_default(trace):
-    result = run_pipeline(trace, workers=2)
-    assert result.classified is None
-    assert result.paired is None
 
 
 # -- run_scenarios: multi-scenario fan-out ----------------------------------

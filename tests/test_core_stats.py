@@ -4,7 +4,6 @@ import math
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from tests.strategies import float_samples
 
@@ -170,27 +169,3 @@ class TestKneeDetailed:
     def test_all_excluded_rejected(self):
         with pytest.raises(AnalysisError):
             find_knee_detailed([0.0] * 100, log_x=True)
-
-
-class TestCdfMerge:
-    def test_merge_equals_pooled(self):
-        left = Cdf.from_values([3.0, 1.0, 2.0])
-        right = Cdf.from_values([2.5, 0.5])
-        merged = Cdf.merge([left, right])
-        assert merged == Cdf.from_values([3.0, 1.0, 2.0, 2.5, 0.5])
-
-    def test_merge_single(self):
-        cdf = Cdf.from_values([1.0, 2.0])
-        assert Cdf.merge([cdf]) == cdf
-
-    def test_merge_empty_rejected(self):
-        with pytest.raises(AnalysisError):
-            Cdf.merge([])
-
-    @pytest.mark.property
-    @given(st.lists(float_samples, min_size=1, max_size=5))
-    @settings(max_examples=40)
-    def test_merge_is_multiset_union(self, groups):
-        merged = Cdf.merge([Cdf.from_values(group) for group in groups])
-        pooled = Cdf.from_values([value for group in groups for value in group])
-        assert merged == pooled

@@ -164,6 +164,13 @@ class TestCli:
 
         assert main(["analyze"]) == 2
 
+    def test_analyze_workers_require_streaming(self, capsys):
+        from repro.cli import main
+
+        code = main(["analyze", "--dns", "dns.log", "--conn", "conn.log", "--workers", "2"])
+        assert code == 2
+        assert "--workers >1 requires --streaming" in capsys.readouterr().err
+
     def test_analyze_pcap(self, tmp_path, capsys):
         import importlib.util
         from pathlib import Path

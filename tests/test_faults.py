@@ -8,6 +8,8 @@ recovery paths.
 """
 
 import io
+import multiprocessing
+import os
 import random
 
 import pytest
@@ -15,9 +17,10 @@ import pytest
 from repro.cli import EXIT_DATA, EXIT_NOINPUT, EXIT_SOFTWARE, main
 from repro.core import parallel as parallel_mod
 from repro.core.classify import (
+    ResolverObserver,
+    class_breakdown,
     collect_failure_stats,
     collect_resolver_stats,
-    merge_failure_stats,
     thresholds_from_stats,
 )
 from repro.core.context import ContextStudy
@@ -27,6 +30,8 @@ from repro.dns.cache import DnsCache, cache_key
 from repro.dns.resolver import RecursiveResolver, ResolverProfile, StubResolver
 from repro.dns.zone import DnsHierarchy
 from repro.errors import LogFormatError, SimulationError
+from repro.report.tables import render_pipeline_report
+from repro.supervise import SupervisorPolicy
 from repro.monitor.capture import MonitorCapture
 from repro.monitor.logs import (
     read_conn_log,
@@ -456,10 +461,13 @@ class TestFailedRecordSemantics:
             failed_record("D4", rcode="NXDOMAIN"),
         ]
         whole = collect_failure_stats(records)
-        merged = merge_failure_stats(
-            [collect_failure_stats(records[:2]), collect_failure_stats(records[2:])]
-        )
-        assert merged == whole
+        left, right = ResolverObserver(), ResolverObserver()
+        for record in records[:2]:
+            left.observe(record)
+        for record in records[2:]:
+            right.observe(record)
+        left.merge_from(right)
+        assert left.failure_stats() == whole
         stats = whole["8.8.8.8"]
         assert stats.queries == 4
         assert stats.servfails == 1 and stats.timeouts == 1 and stats.nxdomains == 1
@@ -514,11 +522,13 @@ class TestFaultedEndToEnd:
 
     @pytest.mark.parametrize("workers", [2, 4])
     def test_parallel_matches_serial_on_faulted_trace(self, faulted_trace, workers):
-        serial = run_pipeline(faulted_trace, workers=1, collect_connections=True)
-        parallel = run_pipeline(faulted_trace, workers=workers, collect_connections=True)
+        serial = run_pipeline(faulted_trace, workers=1)
+        parallel = run_pipeline(faulted_trace, workers=workers)
         assert parallel == serial
         assert parallel.failure_stats == serial.failure_stats
-        assert parallel.classified == serial.classified
+        assert render_pipeline_report(parallel) == render_pipeline_report(serial)
+        # The serial reference agrees with the per-connection study.
+        assert serial.breakdown == class_breakdown(ContextStudy(faulted_trace).classified)
 
     def test_study_surfaces_failure_stats(self, faulted_trace):
         study = ContextStudy(faulted_trace)
@@ -528,28 +538,52 @@ class TestFaultedEndToEnd:
         assert study.breakdown.total == len(faulted_trace.conns)
 
 
-class TestCrashRecovery:
-    def test_crashed_shard_is_recovered_serially(self, faulted_trace, monkeypatch):
-        serial = run_pipeline(faulted_trace, workers=1, collect_connections=True)
-        monkeypatch.setattr(
-            parallel_mod, "_CRASH_SHARDS_FOR_TESTING", frozenset({0})
-        )
-        recovered = run_pipeline(faulted_trace, workers=2, collect_connections=True)
-        assert recovered == serial
-        assert recovered.recovered_shards == (0,)
-        assert recovered.partial_recovery
-        assert not serial.partial_recovery
+#: Supervisor settings that make a crashed shard's restarts immediate.
+FAST_SUPERVISOR = SupervisorPolicy(
+    max_restarts=1, backoff_base_s=0.0, backoff_cap_s=0.0, poll_interval_s=0.005
+)
 
-    def test_every_shard_crashing_still_completes(self, faulted_trace, monkeypatch):
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the supervised fan-out needs the fork start method",
+)
+class TestCrashRecovery:
+    """A streaming shard whose worker keeps crashing is re-run serially in
+    the parent, and the merged result still equals the serial one."""
+
+    @staticmethod
+    def _crash_in_workers(monkeypatch, marker_dir, crash_shards):
+        """Make ``_stream_shard`` raise in forked workers for *crash_shards*.
+
+        Each crashing attempt first leaves ``marker_dir/shard<id>``; the
+        parent's serial retry (same pid as the test) runs the real shard.
+        """
+        real = parallel_mod._stream_shard
+        parent_pid = os.getpid()
+
+        def stream_shard(task):
+            if os.getpid() != parent_pid and task.shard_id in crash_shards:
+                (marker_dir / f"shard{task.shard_id}").touch()
+                raise RuntimeError(f"injected crash for shard {task.shard_id}")
+            return real(task)
+
+        monkeypatch.setattr(parallel_mod, "_stream_shard", stream_shard)
+        monkeypatch.setattr(parallel_mod, "_available_cpus", lambda: 2)
+
+    def test_crashed_shard_is_recovered_serially(self, faulted_trace, monkeypatch, tmp_path):
         serial = run_pipeline(faulted_trace, workers=1)
-        monkeypatch.setattr(
-            parallel_mod,
-            "_CRASH_SHARDS_FOR_TESTING",
-            frozenset(range(64)),
-        )
-        recovered = run_pipeline(faulted_trace, workers=2)
+        self._crash_in_workers(monkeypatch, tmp_path, {0})
+        recovered = run_pipeline(faulted_trace, workers=2, supervisor=FAST_SUPERVISOR)
         assert recovered == serial
-        assert len(recovered.recovered_shards) == recovered.shards
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["shard0"]
+
+    def test_every_shard_crashing_still_completes(self, faulted_trace, monkeypatch, tmp_path):
+        serial = run_pipeline(faulted_trace, workers=1)
+        self._crash_in_workers(monkeypatch, tmp_path, set(range(64)))
+        recovered = run_pipeline(faulted_trace, workers=2, supervisor=FAST_SUPERVISOR)
+        assert recovered == serial
+        assert len(list(tmp_path.iterdir())) == recovered.shards
 
 
 DNS_HEADER_AND_ROW = (

@@ -1,11 +1,12 @@
 """Differential streaming≡batch harness.
 
-The batch pipeline is the oracle: for every golden scenario (three
-seeds, each under the default, fault-injected, and cache-pressure
+The serial batch pipeline is the oracle: for every golden scenario
+(three seeds, each under the default, fault-injected, and cache-pressure
 configurations) the exact-mode streaming engine must reproduce
-:func:`repro.core.parallel.run_pipeline` *byte-identically* — equal
-analysis objects AND an equal rendered report, through both the serial
-one-pass path and the household-sharded merge path.
+``run_pipeline(trace, workers=1)`` *byte-identically* — equal analysis
+objects AND an equal rendered report, through both the serial one-pass
+path and the household-sharded merge path that ``run_pipeline`` itself
+takes with ``workers>1``, under both pairing policies.
 
 Window invariance rides along: for any window W no smaller than the
 trace's largest pairing reach-back, ``streaming(W) == streaming(2W) ==
@@ -13,12 +14,16 @@ streaming(unbounded)`` — dropping expired-fallback state the trace
 never reaches back to must not change a single statistic.
 """
 
+import functools
+
 import pytest
 
 from tests.strategies import trace_streams
 
 from hypothesis import given, settings
 
+from repro.core.context import ContextStudy, StudyOptions
+from repro.core.pairing import PairingPolicy
 from repro.core.parallel import run_pipeline, run_streaming_pipeline
 from repro.core.streaming import StreamingConfig, analyze_stream
 from repro.report.tables import render_pipeline_report
@@ -28,6 +33,7 @@ from repro.workload.scenario import FaultConfig, PressureConfig, ScenarioConfig
 pytestmark = pytest.mark.slow
 
 SEEDS = (1, 2, 3)
+VARIANTS = ("default", "faults", "pressure")
 
 HOUSES = 3
 DURATION_S = 6 * 3600.0
@@ -61,6 +67,7 @@ def _scenario(seed: int, variant: str) -> ScenarioConfig:
     )
 
 
+@functools.lru_cache(maxsize=None)
 def _trace(seed: int, variant: str):
     config = _scenario(seed, variant)
     if variant == "pressure":
@@ -70,7 +77,7 @@ def _trace(seed: int, variant: str):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("variant", ("default", "faults", "pressure"))
+@pytest.mark.parametrize("variant", VARIANTS)
 def test_streaming_exact_matches_batch(seed, variant):
     trace = _trace(seed, variant)
     batch = run_pipeline(trace, workers=1)
@@ -82,21 +89,42 @@ def test_streaming_exact_matches_batch(seed, variant):
     assert render_pipeline_report(streamed) == render_pipeline_report(batch)
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_sharded_streaming_matches_batch(seed):
-    trace = _trace(seed, "default")
-    batch = run_pipeline(trace, workers=1)
-    sharded = run_streaming_pipeline(trace.dns, trace.conns, workers=2)
+def _sharded_case_id(seed: int, variant: str, policy: PairingPolicy) -> str:
+    """The default scenario under the default policy is named by its seed."""
+    if variant == "default" and policy is PairingPolicy.MOST_RECENT:
+        return str(seed)
+    return f"{variant}-{policy.value}-{seed}"
+
+
+SHARDED_CASES = [
+    pytest.param(seed, variant, policy, id=_sharded_case_id(seed, variant, policy))
+    for policy in PairingPolicy
+    for variant in VARIANTS
+    for seed in SEEDS
+]
+
+
+@pytest.mark.parametrize(("seed", "variant", "policy"), SHARDED_CASES)
+def test_sharded_streaming_matches_batch(seed, variant, policy):
+    trace = _trace(seed, variant)
+    options = StudyOptions(pairing_policy=policy, pairing_seed=seed)
+    batch = run_pipeline(trace, options, workers=1)
+    report = render_pipeline_report(batch)
+    sharded = run_streaming_pipeline(trace.dns, trace.conns, options, workers=2)
     assert sharded == batch
-    assert render_pipeline_report(sharded) == render_pipeline_report(batch)
+    assert render_pipeline_report(sharded) == report
+    for workers in (2, 4):
+        parallel = run_pipeline(trace, options, workers=workers)
+        assert parallel == batch, workers
+        assert render_pipeline_report(parallel) == report, workers
 
 
 def _max_reachback_s(trace) -> float:
     """The largest completion→connection gap any pairing used."""
-    result = run_pipeline(trace, workers=1, collect_connections=True)
-    assert result.paired is not None
     return max(
-        item.gap for item in result.paired if item.gap is not None and item.gap > 0
+        item.gap
+        for item in ContextStudy(trace).paired
+        if item.gap is not None and item.gap > 0
     )
 
 
