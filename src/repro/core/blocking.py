@@ -62,27 +62,53 @@ class GapAnalysis:
         return self.cdf.series(points)
 
 
-def find_gap_knee(gaps: Sequence[float], knee_reference: float = KNEE_REFERENCE) -> tuple[float, int]:
+def find_gap_knee(gaps: Sequence[float]) -> tuple[float, int]:
     """The gap-CDF knee and excluded-sample count, falling back to the
-    paper's 20 ms reference when the sample defeats the knee finder.
-
-    Shared by the batch analysis and the streaming engine's finalize
-    step so both agree bit-for-bit."""
+    paper's 20 ms reference when the sample defeats the knee finder."""
     try:
         result = find_knee_detailed(gaps, log_x=True)
     except AnalysisError:
-        return knee_reference, 0
+        return KNEE_REFERENCE, 0
     return result.knee, result.excluded_samples
 
 
-# Historical private alias (pre-streaming callers).
-_find_gap_knee = find_gap_knee
+def first_use_ratio(hits: int, total: int) -> float:
+    """A first-use fraction from its raw counters (0 when *total* is 0)."""
+    return hits / total if total else 0.0
+
+
+def gap_analysis_from_counts(
+    gaps: Sequence[float],
+    blocking_threshold: float,
+    below_hits: int,
+    below_total: int,
+    above_hits: int,
+    above_total: int,
+) -> GapAnalysis:
+    """Figure 1 from the clamped gap sample and its first-use counters.
+
+    Shared by :func:`analyze_gaps` and the streaming engine's finalize
+    step so both agree bit-for-bit."""
+    if not gaps:
+        raise AnalysisError("no paired connections: cannot analyse gaps")
+    knee, excluded = find_gap_knee(gaps)
+    return GapAnalysis(
+        cdf=Cdf.from_values(gaps),
+        knee=knee,
+        first_use_below_knee=first_use_ratio(below_hits, below_total),
+        first_use_above_knee=first_use_ratio(above_hits, above_total),
+        blocking_threshold=blocking_threshold,
+        knee_excluded_samples=excluded,
+        first_use_below_hits=below_hits,
+        first_use_below_total=below_total,
+        first_use_above_hits=above_hits,
+        first_use_above_total=above_total,
+    )
 
 
 def analyze_gaps(
     paired: list[PairedConnection],
     blocking_threshold: float = DEFAULT_BLOCKING_THRESHOLD,
-    knee_reference: float = KNEE_REFERENCE,
 ) -> GapAnalysis:
     """Build the Figure 1 analysis from paired connections."""
     if blocking_threshold <= 0:
@@ -95,27 +121,14 @@ def analyze_gaps(
             continue
         gap = max(0.0, gap)
         gaps.append(gap)
-        if gap <= knee_reference:
+        if gap <= KNEE_REFERENCE:
             below_total += 1
             below_hits += 1 if item.first_use else 0
         else:
             above_total += 1
             above_hits += 1 if item.first_use else 0
-    if not gaps:
-        raise AnalysisError("no paired connections: cannot analyse gaps")
-    cdf = Cdf.from_values(gaps)
-    knee, excluded = _find_gap_knee(gaps, knee_reference)
-    return GapAnalysis(
-        cdf=cdf,
-        knee=knee,
-        first_use_below_knee=below_hits / below_total if below_total else 0.0,
-        first_use_above_knee=above_hits / above_total if above_total else 0.0,
-        blocking_threshold=blocking_threshold,
-        knee_excluded_samples=excluded,
-        first_use_below_hits=below_hits,
-        first_use_below_total=below_total,
-        first_use_above_hits=above_hits,
-        first_use_above_total=above_total,
+    return gap_analysis_from_counts(
+        gaps, blocking_threshold, below_hits, below_total, above_hits, above_total
     )
 
 

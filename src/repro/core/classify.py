@@ -332,11 +332,22 @@ DEFAULT_RESOLVER_NAMES = {
 
 @dataclass(frozen=True, slots=True)
 class ClassifierConfig:
-    """All heuristic knobs of the classification stage."""
+    """All heuristic knobs of the classification stage.
+
+    ``blocking_threshold`` is the one §4 blocking threshold: the batch
+    classifier, the gap analysis and the streaming engine all read it
+    from here (via :class:`~repro.core.context.StudyOptions`).
+    """
 
     blocking_threshold: float = DEFAULT_BLOCKING_THRESHOLD
     threshold_policy: ThresholdPolicy = field(default_factory=ThresholdPolicy)
     resolver_names: dict[str, str] = field(default_factory=lambda: dict(DEFAULT_RESOLVER_NAMES))
+
+    def __post_init__(self) -> None:
+        if self.blocking_threshold <= 0:
+            raise AnalysisError(
+                f"blocking threshold must be positive, got {self.blocking_threshold}"
+            )
 
     def platform_of(self, resolver_address: str) -> str:
         """The platform label for *resolver_address* ("other" if unmapped)."""

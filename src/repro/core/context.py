@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING
 
-from repro.core.blocking import DEFAULT_BLOCKING_THRESHOLD, GapAnalysis, analyze_gaps
+from repro.core.blocking import GapAnalysis, analyze_gaps
 from repro.core.classify import (
     ClassBreakdown,
     ClassifiedConnection,
@@ -132,7 +132,16 @@ def _load_any_conn(path: str, strict: bool = True) -> "tuple[list[ConnRecord], I
 
 @dataclass(frozen=True, slots=True)
 class StudyOptions:
-    """Analysis-stage knobs (all defaulting to the paper's choices)."""
+    """Analysis-stage knobs (all defaulting to the paper's choices).
+
+    The one home of every analysis setting: the batch
+    :class:`ContextStudy`, the sharded pipeline and the streaming engine
+    all read their thresholds and policies from here. The §4 knee
+    reference and the §6 significance cut are the paper's constants
+    (:data:`~repro.core.blocking.KNEE_REFERENCE`,
+    :data:`~repro.core.performance.ABS_INSIGNIFICANT`,
+    :data:`~repro.core.performance.REL_INSIGNIFICANT`), not options.
+    """
 
     classifier: ClassifierConfig = field(default_factory=ClassifierConfig)
     pairing_policy: PairingPolicy = PairingPolicy.MOST_RECENT
@@ -233,9 +242,9 @@ class ContextStudy:
 
     # -- §4 -----------------------------------------------------------------
 
-    def gap_analysis(self, blocking_threshold: float = DEFAULT_BLOCKING_THRESHOLD) -> GapAnalysis:
+    def gap_analysis(self) -> GapAnalysis:
         """Figure 1: the DNS-completion-to-connection-start gap analysis."""
-        return analyze_gaps(self.paired, blocking_threshold=blocking_threshold)
+        return analyze_gaps(self.paired, self.options.classifier.blocking_threshold)
 
     def pairing_ambiguity(self) -> float:
         """§4: share of paired connections with a unique candidate (paper: 82%)."""
@@ -295,9 +304,9 @@ class ContextStudy:
         """Figure 2 (bottom)."""
         return contribution_analysis(self.classified)
 
-    def significance_quadrant(self, abs_threshold: float = 0.020, rel_threshold: float = 1.0) -> SignificanceQuadrant:
-        """§6: the significance quadrant."""
-        return significance_quadrant(self.classified, abs_threshold, rel_threshold)
+    def significance_quadrant(self) -> SignificanceQuadrant:
+        """§6: the significance quadrant (>20 ms and >1 %)."""
+        return significance_quadrant(self.classified)
 
     # -- §7 -------------------------------------------------------------------
 

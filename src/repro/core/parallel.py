@@ -17,8 +17,11 @@ statistics. This module exploits that structure with one engine:
    SC/R thresholds are a whole-trace property, so the blocked sample is
    split only after every shard's resolver durations are merged.
 
-:func:`run_pipeline` with ``workers=1`` is the serial batch pipeline —
-the reference every sharded and streaming run is compared against.
+:func:`run_pipeline` with ``workers=1`` is the serial batch pipeline — a
+:class:`~repro.core.context.ContextStudy` read out — and the reference
+every sharded and streaming run is compared against. Both engines take
+every analysis setting from the same
+:class:`~repro.core.context.StudyOptions`.
 
 **Determinism contract**: results are equal to the serial path for any
 worker/shard count. Every merged statistic is either an integer count
@@ -32,41 +35,22 @@ global RNG state.
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import multiprocessing
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from repro.core.blocking import DEFAULT_BLOCKING_THRESHOLD, GapAnalysis, analyze_gaps
-from repro.core.classify import (
-    ClassBreakdown,
-    Classifier,
-    ResolverFailureStats,
-    class_breakdown,
-    collect_failure_stats,
-)
-from repro.core.context import StudyOptions
-from repro.core.pairing import Pairer, PairingCensus
-from repro.core.performance import (
-    ABS_INSIGNIFICANT,
-    REL_INSIGNIFICANT,
-    ContributionAnalysis,
-    LookupDelayAnalysis,
-    SignificanceQuadrant,
-    contribution_analysis,
-    lookup_delay_analysis,
-    significance_quadrant,
-)
 from repro.core.checkpoint import (
     CheckpointConfig,
     CheckpointTelemetry,
     run_checkpointed_stream,
 )
+from repro.core.context import ContextStudy, StudyOptions
 from repro.core.streaming import (
-    DEFAULT_DRAIN_INTERVAL_S,
-    DEFAULT_SKETCH_EPSILON,
+    PipelineResult,
     StreamingConfig,
     StreamingState,
     StreamingSummary,
@@ -206,28 +190,6 @@ def merge_pressure_stats(parts: Sequence[PressureStats]) -> PressureStats:
     return merged
 
 
-@dataclass(frozen=True, slots=True)
-class PipelineResult:
-    """The §4–§6 output of one pipeline run.
-
-    Analysis fields compare by value, so two runs over the same trace
-    and options are ``==`` regardless of worker count — the golden
-    equality the parallel tests pin. ``workers``/``shards`` are
-    execution metadata and excluded from comparison.
-    """
-
-    census: PairingCensus
-    breakdown: ClassBreakdown
-    gap_analysis: GapAnalysis
-    lookup_delays: LookupDelayAnalysis
-    contribution: ContributionAnalysis
-    quadrant: SignificanceQuadrant
-    thresholds: dict[str, float]
-    failure_stats: dict[str, ResolverFailureStats] = field(default_factory=dict)
-    workers: int = field(default=1, compare=False)
-    shards: int = field(default=1, compare=False)
-
-
 def shard_by_household(
     dns_records: Sequence[DnsRecord],
     conns: Sequence[ConnRecord],
@@ -355,29 +317,18 @@ def run_scenarios(
         _SCENARIO_FANOUT = None
 
 
-def _serial_pipeline(
-    trace: Trace,
-    options: StudyOptions,
-    blocking_threshold: float,
-    abs_threshold: float,
-    rel_threshold: float,
-) -> PipelineResult:
+def _serial_pipeline(trace: Trace, options: StudyOptions) -> PipelineResult:
     """The reference single-process batch pipeline (no sharding)."""
-    pairer = Pairer(
-        trace.dns, policy=options.pairing_policy, seed=options.pairing_seed
-    )
-    paired = pairer.pair_all(trace.conns)
-    classifier = Classifier(trace.dns, config=options.classifier)
-    classified = classifier.classify_all(paired)
+    study = ContextStudy(trace, options)
     return PipelineResult(
-        census=PairingCensus.from_paired(paired),
-        breakdown=class_breakdown(classified),
-        gap_analysis=analyze_gaps(paired, blocking_threshold=blocking_threshold),
-        lookup_delays=lookup_delay_analysis(classified),
-        contribution=contribution_analysis(classified),
-        quadrant=significance_quadrant(classified, abs_threshold, rel_threshold),
-        thresholds=classifier.thresholds,
-        failure_stats=collect_failure_stats(trace.dns),
+        census=study.pairing_census(),
+        breakdown=study.breakdown,
+        gap_analysis=study.gap_analysis(),
+        lookup_delays=study.lookup_delays(),
+        contribution=study.contribution(),
+        quadrant=study.significance_quadrant(),
+        thresholds=study.classifier.thresholds,
+        failure_stats=study.failure_stats(),
     )
 
 
@@ -385,9 +336,6 @@ def run_pipeline(
     trace: Trace,
     options: StudyOptions | None = None,
     workers: int = 1,
-    blocking_threshold: float = DEFAULT_BLOCKING_THRESHOLD,
-    abs_threshold: float = ABS_INSIGNIFICANT,
-    rel_threshold: float = REL_INSIGNIFICANT,
     supervisor: SupervisorPolicy | None = None,
 ) -> PipelineResult:
     """Run the §4–§6 analysis pipeline, optionally over worker processes.
@@ -398,7 +346,7 @@ def run_pipeline(
     the exact streaming engine in a supervised worker (*supervisor*
     tunes restarts and deadlines); the merged
     :class:`~repro.core.streaming.StreamingState` finalizes to a result
-    equal to ``workers=1``.
+    equal to ``workers=1``. Every analysis setting comes from *options*.
     """
     options = options if options is not None else StudyOptions()
     if not trace.conns:
@@ -406,16 +354,8 @@ def run_pipeline(
     if workers < 1:
         raise AnalysisError(f"worker count must be positive, got {workers}")
     if workers == 1:
-        return _serial_pipeline(
-            trace, options, blocking_threshold, abs_threshold, rel_threshold
-        )
-    config = StreamingConfig(
-        options=options,
-        exact=True,
-        blocking_threshold=blocking_threshold,
-        abs_threshold=abs_threshold,
-        rel_threshold=rel_threshold,
-    )
+        return _serial_pipeline(trace, options)
+    config = StreamingConfig(options=options)
     state, shard_count = _run_streaming(
         trace.dns, trace.conns, config, workers, supervisor=supervisor
     )
@@ -502,19 +442,9 @@ def _run_streaming(
 def _pipeline_result(
     state: StreamingState, config: StreamingConfig, workers: int, shards: int
 ) -> PipelineResult:
-    """Finalize an exact streaming state into the batch result type."""
-    result = finalize_result(state, config)
-    return PipelineResult(
-        census=result.census,
-        breakdown=result.breakdown,
-        gap_analysis=result.gap_analysis,
-        lookup_delays=result.lookup_delays,
-        contribution=result.contribution,
-        quadrant=result.quadrant,
-        thresholds=result.thresholds,
-        failure_stats=result.failure_stats,
-        workers=workers,
-        shards=shards,
+    """Finalize an exact streaming state and stamp the execution metadata."""
+    return dataclasses.replace(
+        finalize_result(state, config), workers=workers, shards=shards
     )
 
 
@@ -524,10 +454,6 @@ def run_streaming_pipeline(
     options: StudyOptions | None = None,
     workers: int = 1,
     window_s: float | None = None,
-    drain_interval_s: float = DEFAULT_DRAIN_INTERVAL_S,
-    blocking_threshold: float = DEFAULT_BLOCKING_THRESHOLD,
-    abs_threshold: float = ABS_INSIGNIFICANT,
-    rel_threshold: float = REL_INSIGNIFICANT,
     checkpoint: CheckpointConfig | None = None,
     resume: bool = False,
     checkpoint_telemetry: CheckpointTelemetry | None = None,
@@ -535,22 +461,18 @@ def run_streaming_pipeline(
     """One-pass the logs with exact statistics; return the batch result.
 
     The streaming counterpart of :func:`run_pipeline`: same output type,
-    same values — ``run_streaming_pipeline(trace.dns, trace.conns) ==
-    run_pipeline(trace)`` bit-for-bit (the differential harness pins
-    this across seeds and fault mixes) — but computed in one pass with
-    the DNS index TTL-drained as the stream advances, so ``workers=1``
-    accepts lazy record iterators and never holds the full record
-    population. ``window_s`` additionally bounds expired-fallback tails;
-    parity then holds for traces whose pairing gaps fit in the window.
+    same values — ``run_streaming_pipeline(trace.dns, trace.conns,
+    options) == run_pipeline(trace, options)`` bit-for-bit (the
+    differential harness pins this across seeds, fault mixes and
+    blocking thresholds) — but computed in one pass with the DNS index
+    TTL-drained as the stream advances, so ``workers=1`` accepts lazy
+    record iterators and never holds the full record population.
+    ``window_s`` additionally bounds expired-fallback tails; parity then
+    holds for traces whose pairing gaps fit in the window.
     """
     config = StreamingConfig(
         options=options if options is not None else StudyOptions(),
-        exact=True,
         window_s=window_s,
-        drain_interval_s=drain_interval_s,
-        blocking_threshold=blocking_threshold,
-        abs_threshold=abs_threshold,
-        rel_threshold=rel_threshold,
     )
     state, shard_count = _run_streaming(
         dns_records, conns, config, workers, checkpoint, resume, checkpoint_telemetry
@@ -564,11 +486,6 @@ def run_streaming_summary(
     options: StudyOptions | None = None,
     workers: int = 1,
     window_s: float | None = None,
-    epsilon: float = DEFAULT_SKETCH_EPSILON,
-    drain_interval_s: float = DEFAULT_DRAIN_INTERVAL_S,
-    blocking_threshold: float = DEFAULT_BLOCKING_THRESHOLD,
-    abs_threshold: float = ABS_INSIGNIFICANT,
-    rel_threshold: float = REL_INSIGNIFICANT,
     checkpoint: CheckpointConfig | None = None,
     resume: bool = False,
     checkpoint_telemetry: CheckpointTelemetry | None = None,
@@ -576,7 +493,7 @@ def run_streaming_summary(
     """One-pass the logs with sketched statistics; return the summary.
 
     The O(window)-memory mode: distribution shapes live in mergeable
-    quantile sketches with an *epsilon* rank-error budget, and every
+    quantile sketches with the default rank-error budget, and every
     count (census, class breakdown up to the running-threshold SC/R
     split, quadrant, unused lookups) stays exact. See
     :class:`repro.core.streaming.StreamingSummary` for what is exact
@@ -585,12 +502,7 @@ def run_streaming_summary(
     config = StreamingConfig(
         options=options if options is not None else StudyOptions(),
         exact=False,
-        epsilon=epsilon,
         window_s=window_s,
-        drain_interval_s=drain_interval_s,
-        blocking_threshold=blocking_threshold,
-        abs_threshold=abs_threshold,
-        rel_threshold=rel_threshold,
     )
     state, _ = _run_streaming(
         dns_records, conns, config, workers, checkpoint, resume, checkpoint_telemetry

@@ -14,6 +14,7 @@ have their mapping on hand). This module computes:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.core.classify import BLOCKED_CLASSES, ClassifiedConnection, ConnClass
 from repro.core.stats import Cdf, fraction_above, percentile
@@ -44,19 +45,25 @@ class LookupDelayAnalysis:
         return self.cdf.series(points)
 
 
-def lookup_delay_analysis(classified: list[ClassifiedConnection]) -> LookupDelayAnalysis:
-    """Distribution of DNS lookup delays for SC∪R connections."""
-    delays = [item.lookup_duration for item in _blocked(classified)]
-    values = [delay for delay in delays if delay is not None]
+def lookup_delays_from_values(values: Sequence[float]) -> LookupDelayAnalysis:
+    """Figure 2 (top) from the blocked connections' lookup durations.
+
+    Shared by the batch analysis and the streaming engine's finalize
+    step so both agree bit-for-bit."""
     if not values:
         raise AnalysisError("no blocked connections: cannot analyse lookup delays")
-    cdf = Cdf.from_values(values)
     return LookupDelayAnalysis(
-        cdf=cdf,
+        cdf=Cdf.from_values(values),
         median=percentile(values, 50),
         p75=percentile(values, 75),
         over_100ms_fraction=fraction_above(values, 0.100),
     )
+
+
+def lookup_delay_analysis(classified: list[ClassifiedConnection]) -> LookupDelayAnalysis:
+    """Distribution of DNS lookup delays for SC∪R connections."""
+    delays = [item.lookup_duration for item in _blocked(classified)]
+    return lookup_delays_from_values([delay for delay in delays if delay is not None])
 
 
 def contribution_percent(item: ClassifiedConnection) -> float | None:
@@ -100,6 +107,25 @@ class ContributionAnalysis:
         return cdf.series(points)
 
 
+def contribution_from_values(
+    values_all: Sequence[float], values_sc: Sequence[float], values_r: Sequence[float]
+) -> ContributionAnalysis:
+    """Figure 2 (bottom) from per-class contribution samples (percent).
+
+    Shared by the batch analysis and the streaming engine's finalize
+    step so both agree bit-for-bit."""
+    if not values_all:
+        raise AnalysisError("no blocked connections: cannot analyse contribution")
+    return ContributionAnalysis(
+        all_cdf=Cdf.from_values(values_all),
+        sc_cdf=Cdf.from_values(values_sc) if values_sc else None,
+        r_cdf=Cdf.from_values(values_r) if values_r else None,
+        over_1pct_all=fraction_above(values_all, REL_INSIGNIFICANT),
+        over_10pct_all=fraction_above(values_all, 10.0),
+        over_1pct_r=fraction_above(values_r, REL_INSIGNIFICANT) if values_r else 0.0,
+    )
+
+
 def contribution_analysis(classified: list[ClassifiedConnection]) -> ContributionAnalysis:
     """DNS' relative contribution for SC∪R, per class and overall."""
     values_all: list[float] = []
@@ -113,16 +139,7 @@ def contribution_analysis(classified: list[ClassifiedConnection]) -> Contributio
             values_sc.append(value)
         else:
             values_r.append(value)
-    if not values_all:
-        raise AnalysisError("no blocked connections: cannot analyse contribution")
-    return ContributionAnalysis(
-        all_cdf=Cdf.from_values(values_all),
-        sc_cdf=Cdf.from_values(values_sc) if values_sc else None,
-        r_cdf=Cdf.from_values(values_r) if values_r else None,
-        over_1pct_all=fraction_above(values_all, REL_INSIGNIFICANT),
-        over_10pct_all=fraction_above(values_all, 10.0),
-        over_1pct_r=fraction_above(values_r, REL_INSIGNIFICANT) if values_r else 0.0,
-    )
+    return contribution_from_values(values_all, values_sc, values_r)
 
 
 @dataclass(frozen=True, slots=True)

@@ -64,10 +64,10 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from repro.core.blocking import (
-    DEFAULT_BLOCKING_THRESHOLD,
     KNEE_REFERENCE,
     GapAnalysis,
-    find_gap_knee,
+    first_use_ratio,
+    gap_analysis_from_counts,
 )
 from repro.core.classify import (
     ClassBreakdown,
@@ -84,9 +84,11 @@ from repro.core.performance import (
     ContributionAnalysis,
     LookupDelayAnalysis,
     SignificanceQuadrant,
+    contribution_from_values,
+    lookup_delays_from_values,
     quadrant_from_cells,
 )
-from repro.core.stats import Cdf, QuantileSketch, fraction_above, percentile
+from repro.core.stats import QuantileSketch
 from repro.errors import AnalysisError
 from repro.monitor.records import ConnRecord, DnsRecord
 
@@ -99,10 +101,13 @@ DEFAULT_SKETCH_EPSILON = 0.01
 
 @dataclass(frozen=True, slots=True)
 class StreamingConfig:
-    """All knobs of the one-pass engine.
+    """How the one-pass engine runs; *what* it computes is ``options``.
 
-    ``exact`` selects full-sample buffers (batch parity) versus
-    quantile sketches (O(window) memory); ``window_s`` bounds how long
+    Every analysis setting (pairing policy, blocking threshold, SC/R
+    threshold policy) comes from the :class:`StudyOptions`, exactly as
+    for the batch pipeline. ``exact`` selects full-sample buffers (batch
+    parity) versus quantile sketches with an ``epsilon`` rank-error
+    budget (O(window) memory); ``window_s`` bounds how long
     expired-fallback tails are retained (None keeps them for the
     stream's lifetime); ``drain_interval_s`` sets the eviction cadence
     (a pure performance knob — results are drain-schedule invariant).
@@ -113,10 +118,6 @@ class StreamingConfig:
     epsilon: float = DEFAULT_SKETCH_EPSILON
     window_s: float | None = None
     drain_interval_s: float = DEFAULT_DRAIN_INTERVAL_S
-    blocking_threshold: float = DEFAULT_BLOCKING_THRESHOLD
-    knee_reference: float = KNEE_REFERENCE
-    abs_threshold: float = ABS_INSIGNIFICANT
-    rel_threshold: float = REL_INSIGNIFICANT
 
     def __post_init__(self) -> None:
         if self.drain_interval_s <= 0:
@@ -125,10 +126,32 @@ class StreamingConfig:
             )
         if self.window_s is not None and self.window_s <= 0:
             raise AnalysisError(f"window must be positive, got {self.window_s}")
-        if self.blocking_threshold <= 0:
-            raise AnalysisError(
-                f"blocking threshold must be positive, got {self.blocking_threshold}"
-            )
+
+
+@dataclass(frozen=True, slots=True)
+class PipelineResult:
+    """The §4–§6 output of one pipeline run, batch or streaming.
+
+    Analysis fields compare by value, so two runs over the same trace
+    and options are ``==`` regardless of engine or worker count — the
+    golden equality the parity tests pin. ``workers``/``shards`` are
+    execution metadata and ``peak_live_records``/``unused_lookups`` the
+    streaming engine's own telemetry (0 on the batch path); none of
+    them participates in equality.
+    """
+
+    census: PairingCensus
+    breakdown: ClassBreakdown
+    gap_analysis: GapAnalysis
+    lookup_delays: LookupDelayAnalysis
+    contribution: ContributionAnalysis
+    quadrant: SignificanceQuadrant
+    thresholds: dict[str, float]
+    failure_stats: dict[str, ResolverFailureStats] = field(default_factory=dict)
+    workers: int = field(default=1, compare=False)
+    shards: int = field(default=1, compare=False)
+    peak_live_records: int = field(default=0, compare=False)
+    unused_lookups: int = field(default=0, compare=False)
 
 
 @dataclass(slots=True)
@@ -441,6 +464,7 @@ class StreamingAnalyzer:
             seed=options.pairing_seed,
             retain_records=False,
         )
+        self._blocking_threshold = options.classifier.blocking_threshold
         self.state = StreamingState(exact=self.config.exact)
         if not self.config.exact:
             epsilon = self.config.epsilon
@@ -515,7 +539,7 @@ class StreamingAnalyzer:
         else:
             assert state.gap_sketch is not None
             state.gap_sketch.offer(clamped_gap)
-        if clamped_gap <= self.config.knee_reference:
+        if clamped_gap <= KNEE_REFERENCE:
             state.first_use_below_total += 1
             state.first_use_below_hits += 1 if result.first_use else 0
         else:
@@ -523,7 +547,7 @@ class StreamingAnalyzer:
             state.first_use_above_hits += 1 if result.first_use else 0
         # Table 2 / §6: the raw gap decides blocked-ness, exactly as the
         # batch classifier reads ``pairing.gap``.
-        if gap > self.config.blocking_threshold:
+        if gap > self._blocking_threshold:
             if result.first_use:
                 state.class_p += 1
             else:
@@ -532,8 +556,8 @@ class StreamingAnalyzer:
         state.blocked_conns += 1
         rtt = result.dns.rtt
         contribution = self._contribution_percent(rtt, conn.duration)
-        absolute_bad = rtt > self.config.abs_threshold
-        relative_bad = contribution > self.config.rel_threshold
+        absolute_bad = rtt > ABS_INSIGNIFICANT
+        relative_bad = contribution > REL_INSIGNIFICANT
         if absolute_bad and relative_bad:
             state.cell_sig += 1
         elif absolute_bad:
@@ -594,9 +618,7 @@ class StreamingAnalyzer:
         return self.state
 
 
-def finalize_result(
-    state: StreamingState, config: StreamingConfig
-) -> "StreamingResult":
+def finalize_result(state: StreamingState, config: StreamingConfig) -> PipelineResult:
     """Assemble the batch pipeline's exact aggregates from a finished state.
 
     Only valid for exact-mode states: every statistic below is either a
@@ -612,93 +634,32 @@ def finalize_result(
     policy = config.options.classifier.threshold_policy
     thresholds = thresholds_from_stats(state.observer.duration_stats(), policy)
     # Table 2: split the deferred blocked sample at the final thresholds.
-    delays: list[float] = []
-    contributions: list[float] = []
     contributions_sc: list[float] = []
     contributions_r: list[float] = []
-    class_sc = 0
-    class_r = 0
     for resolver, rtt, contribution in zip(
         state.blocked_resolvers, state.blocked_rtts_s, state.blocked_contributions
     ):
-        delays.append(rtt)
-        contributions.append(contribution)
         if rtt <= thresholds.get(resolver, policy.default_threshold):
-            class_sc += 1
             contributions_sc.append(contribution)
         else:
-            class_r += 1
             contributions_r.append(contribution)
-    counts: dict[ConnClass, int] = {}
-    for conn_class, count in (
-        (ConnClass.NO_DNS, state.class_n),
-        (ConnClass.LOCAL_CACHE, state.class_lc),
-        (ConnClass.PREFETCHED, state.class_p),
-        (ConnClass.SHARED_CACHE, class_sc),
-        (ConnClass.RESOLUTION, class_r),
-    ):
-        if count:
-            counts[conn_class] = count
-    if not state.gaps:
-        raise AnalysisError("no paired connections: cannot analyse gaps")
-    knee, excluded = find_gap_knee(state.gaps, config.knee_reference)
-    gap_analysis = GapAnalysis(
-        cdf=Cdf.from_values(state.gaps),
-        knee=knee,
-        first_use_below_knee=(
-            state.first_use_below_hits / state.first_use_below_total
-            if state.first_use_below_total
-            else 0.0
-        ),
-        first_use_above_knee=(
-            state.first_use_above_hits / state.first_use_above_total
-            if state.first_use_above_total
-            else 0.0
-        ),
-        blocking_threshold=config.blocking_threshold,
-        knee_excluded_samples=excluded,
-        first_use_below_hits=state.first_use_below_hits,
-        first_use_below_total=state.first_use_below_total,
-        first_use_above_hits=state.first_use_above_hits,
-        first_use_above_total=state.first_use_above_total,
+    gap_analysis = gap_analysis_from_counts(
+        state.gaps,
+        config.options.classifier.blocking_threshold,
+        state.first_use_below_hits,
+        state.first_use_below_total,
+        state.first_use_above_hits,
+        state.first_use_above_total,
     )
-    if not delays:
-        raise AnalysisError("no blocked connections: cannot analyse lookup delays")
-    lookup_delays = LookupDelayAnalysis(
-        cdf=Cdf.from_values(delays),
-        median=percentile(delays, 50),
-        p75=percentile(delays, 75),
-        over_100ms_fraction=fraction_above(delays, 0.100),
-    )
-    contribution_analysis = ContributionAnalysis(
-        all_cdf=Cdf.from_values(contributions),
-        sc_cdf=Cdf.from_values(contributions_sc) if contributions_sc else None,
-        r_cdf=Cdf.from_values(contributions_r) if contributions_r else None,
-        over_1pct_all=fraction_above(contributions, config.rel_threshold),
-        over_10pct_all=fraction_above(contributions, 10.0),
-        over_1pct_r=(
-            fraction_above(contributions_r, config.rel_threshold)
-            if contributions_r
-            else 0.0
-        ),
-    )
-    quadrant = quadrant_from_cells(
-        {
-            "ii": state.cell_ii,
-            "rel": state.cell_rel,
-            "abs": state.cell_abs,
-            "sig": state.cell_sig,
-        },
-        state.blocked_conns,
-        state.total_conns,
-    )
-    return StreamingResult(
+    return PipelineResult(
         census=_census(state),
-        breakdown=ClassBreakdown(counts=counts),
+        breakdown=_breakdown(state, len(contributions_sc), len(contributions_r)),
         gap_analysis=gap_analysis,
-        lookup_delays=lookup_delays,
-        contribution=contribution_analysis,
-        quadrant=quadrant,
+        lookup_delays=lookup_delays_from_values(state.blocked_rtts_s),
+        contribution=contribution_from_values(
+            state.blocked_contributions, contributions_sc, contributions_r
+        ),
+        quadrant=_quadrant(state),
         thresholds=thresholds,
         failure_stats=state.observer.failure_stats(),
         peak_live_records=state.peak_live_records,
@@ -717,26 +678,33 @@ def _census(state: StreamingState) -> PairingCensus:
     )
 
 
-@dataclass(frozen=True, slots=True)
-class StreamingResult:
-    """Exact-mode output: the batch pipeline's aggregates, one pass.
+def _breakdown(state: StreamingState, class_sc: int, class_r: int) -> ClassBreakdown:
+    """Table 2 from the online N/LC/P counters plus an SC/R split."""
+    counts: dict[ConnClass, int] = {}
+    for conn_class, count in (
+        (ConnClass.NO_DNS, state.class_n),
+        (ConnClass.LOCAL_CACHE, state.class_lc),
+        (ConnClass.PREFETCHED, state.class_p),
+        (ConnClass.SHARED_CACHE, class_sc),
+        (ConnClass.RESOLUTION, class_r),
+    ):
+        if count:
+            counts[conn_class] = count
+    return ClassBreakdown(counts=counts)
 
-    Field-for-field the analysis payload of
-    :class:`repro.core.parallel.PipelineResult` (that class wraps this
-    one with execution metadata), plus the streaming engine's own
-    telemetry, which deliberately does not participate in equality.
-    """
 
-    census: PairingCensus
-    breakdown: ClassBreakdown
-    gap_analysis: GapAnalysis
-    lookup_delays: LookupDelayAnalysis
-    contribution: ContributionAnalysis
-    quadrant: SignificanceQuadrant
-    thresholds: dict[str, float]
-    failure_stats: dict[str, ResolverFailureStats]
-    peak_live_records: int = field(default=0, compare=False)
-    unused_lookups: int = field(default=0, compare=False)
+def _quadrant(state: StreamingState) -> SignificanceQuadrant:
+    """The §6 quadrant from the state's cell counters."""
+    return quadrant_from_cells(
+        {
+            "ii": state.cell_ii,
+            "rel": state.cell_rel,
+            "abs": state.cell_abs,
+            "sig": state.cell_sig,
+        },
+        state.blocked_conns,
+        state.total_conns,
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -799,28 +767,6 @@ def finalize_summary(state: StreamingState, config: StreamingConfig) -> Streamin
         raise AnalysisError("summaries need exact=False; use finalize_result instead")
     if not state.total_conns:
         raise AnalysisError("the trace has no connections to analyse")
-    counts: dict[ConnClass, int] = {}
-    for conn_class, count in (
-        (ConnClass.NO_DNS, state.class_n),
-        (ConnClass.LOCAL_CACHE, state.class_lc),
-        (ConnClass.PREFETCHED, state.class_p),
-        (ConnClass.SHARED_CACHE, state.class_sc),
-        (ConnClass.RESOLUTION, state.class_r),
-    ):
-        if count:
-            counts[conn_class] = count
-    quadrant = None
-    if state.blocked_conns:
-        quadrant = quadrant_from_cells(
-            {
-                "ii": state.cell_ii,
-                "rel": state.cell_rel,
-                "abs": state.cell_abs,
-                "sig": state.cell_sig,
-            },
-            state.blocked_conns,
-            state.total_conns,
-        )
     policy = config.options.classifier.threshold_policy
     assert state.gap_sketch is not None
     assert state.delay_sketch is not None
@@ -829,8 +775,8 @@ def finalize_summary(state: StreamingState, config: StreamingConfig) -> Streamin
     assert state.contribution_r_sketch is not None
     return StreamingSummary(
         census=_census(state),
-        breakdown=ClassBreakdown(counts=counts),
-        quadrant=quadrant,
+        breakdown=_breakdown(state, state.class_sc, state.class_r),
+        quadrant=_quadrant(state) if state.blocked_conns else None,
         thresholds=thresholds_from_stats(state.observer.duration_stats(), policy),
         failure_stats=state.observer.failure_stats(),
         gap_sketch=state.gap_sketch,
@@ -838,15 +784,11 @@ def finalize_summary(state: StreamingState, config: StreamingConfig) -> Streamin
         contribution_sketch=state.contribution_sketch,
         contribution_sc_sketch=state.contribution_sc_sketch,
         contribution_r_sketch=state.contribution_r_sketch,
-        first_use_below_knee=(
-            state.first_use_below_hits / state.first_use_below_total
-            if state.first_use_below_total
-            else 0.0
+        first_use_below_knee=first_use_ratio(
+            state.first_use_below_hits, state.first_use_below_total
         ),
-        first_use_above_knee=(
-            state.first_use_above_hits / state.first_use_above_total
-            if state.first_use_above_total
-            else 0.0
+        first_use_above_knee=first_use_ratio(
+            state.first_use_above_hits, state.first_use_above_total
         ),
         dns_records=state.dns_records,
         failed_lookups=state.failed_lookups,

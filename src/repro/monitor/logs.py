@@ -283,52 +283,13 @@ def _conn_from_columns(
     )
 
 
-def _read_log(stream: IO[str], parse, strict: bool) -> tuple[list, list[QuarantinedLine]]:
-    """The shared reader loop behind both log formats.
-
-    ``strict`` re-raises on the first malformed line (the historical
-    behaviour); otherwise each offending line is quarantined with its
-    line number and reason, and reading continues.
-    """
-    index_by_name: dict[str, int] | None = None
-    records: list = []
-    quarantined: list[QuarantinedLine] = []
-    for number, line in enumerate(stream, start=1):
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        if line.startswith("#"):
-            if line.startswith("#fields"):
-                parts = line.split(_SEPARATOR)
-                index_by_name = {name: index for index, name in enumerate(parts[1:])}
-            continue
-        if index_by_name is None:
-            if strict:
-                raise LogFormatError(f"line {number}: data before #fields header")
-            quarantined.append(
-                QuarantinedLine(number, "data before #fields header", line)
-            )
-            continue
-        columns = line.split(_SEPARATOR)
-        try:
-            records.append(parse(columns, index_by_name, number))
-        except (ValueError, LogFormatError) as exc:
-            if strict:
-                if isinstance(exc, LogFormatError):
-                    raise
-                raise LogFormatError(f"line {number}: {exc}") from exc
-            quarantined.append(QuarantinedLine(number, str(exc), line))
-    return records, quarantined
-
-
 def read_dns_log(stream: IO[str], strict: bool = True) -> list[DnsRecord]:
     """Parse a dns.log written by :func:`write_dns_log` (or Zeek-like).
 
     With ``strict=False`` malformed lines are silently skipped; use
     :func:`read_dns_log_lenient` to also get the quarantine report.
     """
-    records, _ = _read_log(stream, _dns_from_columns, strict)
-    return records
+    return list(_parse_lines(stream, _dns_from_columns, strict, None))
 
 
 def read_conn_log(stream: IO[str], strict: bool = True) -> list[ConnRecord]:
@@ -337,20 +298,21 @@ def read_conn_log(stream: IO[str], strict: bool = True) -> list[ConnRecord]:
     With ``strict=False`` malformed lines are silently skipped; use
     :func:`read_conn_log_lenient` to also get the quarantine report.
     """
-    records, _ = _read_log(stream, _conn_from_columns, strict)
-    return records
+    return list(_parse_lines(stream, _conn_from_columns, strict, None))
 
 
 def read_dns_log_lenient(stream: IO[str]) -> tuple[list[DnsRecord], IngestReport]:
     """Parse a dns.log, quarantining malformed lines instead of raising."""
-    records, quarantined = _read_log(stream, _dns_from_columns, strict=False)
+    quarantined: list[QuarantinedLine] = []
+    records = list(_parse_lines(stream, _dns_from_columns, False, quarantined))
     report = IngestReport(path_label="dns", parsed=len(records), quarantined=tuple(quarantined))
     return records, report
 
 
 def read_conn_log_lenient(stream: IO[str]) -> tuple[list[ConnRecord], IngestReport]:
     """Parse a conn.log, quarantining malformed lines instead of raising."""
-    records, quarantined = _read_log(stream, _conn_from_columns, strict=False)
+    quarantined: list[QuarantinedLine] = []
+    records = list(_parse_lines(stream, _conn_from_columns, False, quarantined))
     report = IngestReport(path_label="conn", parsed=len(records), quarantined=tuple(quarantined))
     return records, report
 
@@ -378,13 +340,14 @@ def load_conn_log(path: str) -> list[ConnRecord]:
     with open(path, "r", encoding="utf-8") as stream:
         return read_conn_log(stream)
 
+
 def _parse_lines(
     lines: Iterable[str],
     parse,
     strict: bool,
     quarantine: list[QuarantinedLine] | None,
 ) -> Iterator:
-    """The shared incremental parse loop behind lazy and tailing readers.
+    """The one parse loop behind the list, lazy and tailing readers.
 
     Header (``#``) lines re-establish the field map whenever they
     appear, so a tailed stream that crosses a rotation boundary picks
@@ -423,23 +386,6 @@ def _parse_lines(
                 quarantine.append(QuarantinedLine(number, str(exc), line))
 
 
-def _iter_log(
-    stream: IO[str],
-    parse,
-    strict: bool = True,
-    quarantine: list[QuarantinedLine] | None = None,
-) -> Iterator:
-    """Incremental variant of :func:`_read_log`.
-
-    Yields records as lines are parsed instead of materializing the
-    log, so week-scale logs stream through the one-pass analysis engine
-    in O(1) reader memory. With ``strict=False`` malformed lines are
-    collected into *quarantine* (a caller-owned list, inspected after
-    the stream drains) instead of raising.
-    """
-    yield from _parse_lines(stream, parse, strict, quarantine)
-
-
 def iter_dns_log(
     path: str,
     strict: bool = True,
@@ -453,7 +399,7 @@ def iter_dns_log(
     generator is exhausted or closed. ``strict=False`` plus a
     *quarantine* list gives lenient ingest with a post-hoc audit trail."""
     with open(path, "r", encoding="utf-8") as stream:
-        yield from _iter_log(stream, _dns_from_columns, strict, quarantine)
+        yield from _parse_lines(stream, _dns_from_columns, strict, quarantine)
 
 
 def iter_conn_log(
@@ -466,7 +412,7 @@ def iter_conn_log(
     The streaming counterpart of :func:`load_conn_log`; see
     :func:`iter_dns_log`."""
     with open(path, "r", encoding="utf-8") as stream:
-        yield from _iter_log(stream, _conn_from_columns, strict, quarantine)
+        yield from _parse_lines(stream, _conn_from_columns, strict, quarantine)
 
 
 def tail_lines(

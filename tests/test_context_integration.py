@@ -9,6 +9,7 @@ import io
 
 import pytest
 
+from repro.core.blocking import analyze_gaps
 from repro.core.classify import ConnClass
 from repro.core.context import ContextStudy, StudyOptions
 from repro.core.pairing import PairingPolicy
@@ -128,8 +129,8 @@ class TestAlternatePolicies:
     def test_threshold_sweep_monotone(self, study):
         # A larger blocking threshold can only move connections into the
         # blocked classes (footnote 5 of the paper).
-        small = study.gap_analysis(blocking_threshold=0.02).blocked_fraction()
-        large = study.gap_analysis(blocking_threshold=0.5).blocked_fraction()
+        small = analyze_gaps(study.paired, blocking_threshold=0.02).blocked_fraction()
+        large = analyze_gaps(study.paired, blocking_threshold=0.5).blocked_fraction()
         assert small <= large
 
 

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from tests.strategies import trace_streams
 
+from repro.core.classify import ClassifierConfig
 from repro.core.pairing import DnsIndex, Pairer, PairingPolicy, pair_trace
 from repro.core.parallel import run_pipeline, run_streaming_summary
 from repro.core.streaming import (
@@ -95,8 +96,10 @@ class TestConfigValidation:
             StreamingConfig(window_s=-1.0)
 
     def test_rejects_nonpositive_blocking_threshold(self):
+        # The one blocking threshold lives on ClassifierConfig, which
+        # every engine reads through StudyOptions.
         with pytest.raises(AnalysisError):
-            StreamingConfig(blocking_threshold=0.0)
+            ClassifierConfig(blocking_threshold=0.0)
 
 
 class TestFinalizeContracts:

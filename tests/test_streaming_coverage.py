@@ -15,6 +15,7 @@ import sys
 import pytest
 
 import repro.core.streaming as streaming_module
+from repro.core.classify import ClassifierConfig
 from repro.core.streaming import (
     StreamingAnalyzer,
     StreamingConfig,
@@ -95,7 +96,10 @@ def _exercise_engine() -> None:
         part_conns = [c for c in trace.conns if c.orig_h == house]
         parts.append(analyze_stream(part_dns, part_conns, sketch))
     merged = StreamingState.merge(parts)
-    finalize_summary(merged, sketch)
+    summary = finalize_summary(merged, sketch)
+    assert summary.answered_lookups == summary.dns_records - summary.failed_lookups
+    assert 0.0 <= summary.unused_lookup_fraction <= 1.0
+    assert 0.0 <= summary.rank_error_bound <= sketch.epsilon
 
     # Incremental driving of the analyzer, finish() idempotence.
     analyzer = StreamingAnalyzer(exact)
@@ -138,7 +142,7 @@ def _exercise_engine() -> None:
     for bad in (
         lambda: StreamingConfig(drain_interval_s=0.0),
         lambda: StreamingConfig(window_s=-5.0),
-        lambda: StreamingConfig(blocking_threshold=-1.0),
+        lambda: ClassifierConfig(blocking_threshold=-1.0),
         lambda: StreamingState.merge([]),
         lambda: StreamingState.merge(
             [StreamingState(exact=True), StreamingState(exact=False)]

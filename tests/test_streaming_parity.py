@@ -6,7 +6,9 @@ configurations) the exact-mode streaming engine must reproduce
 ``run_pipeline(trace, workers=1)`` *byte-identically* — equal analysis
 objects AND an equal rendered report, through both the serial one-pass
 path and the household-sharded merge path that ``run_pipeline`` itself
-takes with ``workers>1``, under both pairing policies.
+takes with ``workers>1``, under both pairing policies and at non-default
+blocking thresholds (every engine reads the one threshold from
+``StudyOptions``).
 
 Window invariance rides along: for any window W no smaller than the
 trace's largest pairing reach-back, ``streaming(W) == streaming(2W) ==
@@ -22,6 +24,8 @@ from tests.strategies import trace_streams
 
 from hypothesis import given, settings
 
+from repro.core.blocking import DEFAULT_BLOCKING_THRESHOLD
+from repro.core.classify import ClassifierConfig
 from repro.core.context import ContextStudy, StudyOptions
 from repro.core.pairing import PairingPolicy
 from repro.core.parallel import run_pipeline, run_streaming_pipeline
@@ -96,27 +100,59 @@ def _sharded_case_id(seed: int, variant: str, policy: PairingPolicy) -> str:
     return f"{variant}-{policy.value}-{seed}"
 
 
+BLOCKING_THRESHOLDS = (0.03, 0.5)
+"""Non-default §4 blocking thresholds, either side of the paper's 100 ms."""
+
 SHARDED_CASES = [
-    pytest.param(seed, variant, policy, id=_sharded_case_id(seed, variant, policy))
+    pytest.param(
+        seed,
+        variant,
+        policy,
+        DEFAULT_BLOCKING_THRESHOLD,
+        id=_sharded_case_id(seed, variant, policy),
+    )
     for policy in PairingPolicy
     for variant in VARIANTS
+    for seed in SEEDS
+] + [
+    pytest.param(
+        seed,
+        "default",
+        PairingPolicy.MOST_RECENT,
+        threshold,
+        id=f"threshold-{threshold}-{seed}",
+    )
+    for threshold in BLOCKING_THRESHOLDS
     for seed in SEEDS
 ]
 
 
-@pytest.mark.parametrize(("seed", "variant", "policy"), SHARDED_CASES)
-def test_sharded_streaming_matches_batch(seed, variant, policy):
+@pytest.mark.parametrize(("seed", "variant", "policy", "threshold"), SHARDED_CASES)
+def test_sharded_streaming_matches_batch(seed, variant, policy, threshold):
     trace = _trace(seed, variant)
-    options = StudyOptions(pairing_policy=policy, pairing_seed=seed)
+    options = StudyOptions(
+        classifier=ClassifierConfig(blocking_threshold=threshold),
+        pairing_policy=policy,
+        pairing_seed=seed,
+    )
     batch = run_pipeline(trace, options, workers=1)
+    assert batch.gap_analysis.blocking_threshold == threshold
     report = render_pipeline_report(batch)
-    sharded = run_streaming_pipeline(trace.dns, trace.conns, options, workers=2)
-    assert sharded == batch
-    assert render_pipeline_report(sharded) == report
+    for streamed in (
+        run_streaming_pipeline(trace.dns, trace.conns, options, workers=1),
+        run_streaming_pipeline(trace.dns, trace.conns, options, workers=2),
+    ):
+        assert streamed == batch, streamed.workers
+        assert render_pipeline_report(streamed) == report, streamed.workers
     for workers in (2, 4):
         parallel = run_pipeline(trace, options, workers=workers)
         assert parallel == batch, workers
         assert render_pipeline_report(parallel) == report, workers
+    study = ContextStudy(trace, options)
+    assert study.gap_analysis() == batch.gap_analysis
+    assert study.breakdown == batch.breakdown
+    assert study.significance_quadrant() == batch.quadrant
+    assert study.contribution() == batch.contribution
 
 
 def _max_reachback_s(trace) -> float:
