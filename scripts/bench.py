@@ -60,9 +60,8 @@ from repro.monitor.binlog import (  # noqa: E402
     save_dns_binlog,
 )
 from repro.monitor.capture import Trace, trace_digest  # noqa: E402
+from repro.monitor.ingest import open_log  # noqa: E402
 from repro.monitor.logs import (  # noqa: E402
-    iter_conn_log,
-    iter_dns_log,
     load_conn_log,
     load_dns_log,
     save_conn_log,
@@ -318,11 +317,11 @@ def _analysis_child(task: tuple[str, str, str]) -> dict:
         trace = Trace(dns=load_dns_log(dns_path), conns=load_conn_log(conn_path))
         report = render_pipeline_report(run_pipeline(trace, workers=1))
     elif mode == "streaming-exact":
-        result = run_streaming_pipeline(iter_dns_log(dns_path), iter_conn_log(conn_path))
+        result = run_streaming_pipeline(open_log(dns_path, "dns"), open_log(conn_path, "conn"))
         report = render_pipeline_report(result)
     else:
         run_streaming_summary(
-            iter_dns_log(dns_path), iter_conn_log(conn_path), window_s=3600.0
+            open_log(dns_path, "dns"), open_log(conn_path, "conn"), window_s=3600.0
         )
     wall_s = time.perf_counter() - start
     return {
@@ -420,15 +419,15 @@ def _time_checkpoint(trace) -> dict:
         for pair in range(max_pairs):
             start = time.perf_counter()
             run_streaming_summary(
-                iter_dns_log(dns_path), iter_conn_log(conn_path), window_s=3600.0
+                open_log(dns_path, "dns"), open_log(conn_path, "conn"), window_s=3600.0
             )
             base = time.perf_counter() - start
 
             telemetry = CheckpointTelemetry()
             start = time.perf_counter()
             run_streaming_summary(
-                iter_dns_log(dns_path),
-                iter_conn_log(conn_path),
+                open_log(dns_path, "dns"),
+                open_log(conn_path, "conn"),
                 window_s=3600.0,
                 checkpoint=checkpoint,
                 checkpoint_telemetry=telemetry,

@@ -15,8 +15,8 @@ Subcommands::
         Generate and analyse in one step.
 
     repro-dns convert out/dns.log out/dns.rblg
-        Convert a trace log between Zeek TSV and the RBLG binary
-        columnar format (direction inferred from the input file).
+        Convert a trace log between Zeek TSV or JSON and the RBLG
+        binary columnar format (direction inferred from the input file).
 
     repro-dns lint src/repro
         Run the repro-lint static invariant checker (also available as
@@ -52,29 +52,9 @@ from repro.errors import (
     WorkloadError,
 )
 from repro.dns.cache import EVICTION_POLICIES
-from repro.monitor.binlog import (
-    CONN_KIND,
-    DNS_KIND,
-    convert_conn_binlog_to_tsv,
-    convert_conn_tsv_to_binlog,
-    convert_dns_binlog_to_tsv,
-    convert_dns_tsv_to_binlog,
-    iter_conn_binlog,
-    iter_dns_binlog,
-    save_conn_binlog,
-    save_dns_binlog,
-    sniff_binlog,
-)
-from repro.monitor.logs import (
-    IngestReport,
-    iter_conn_log,
-    iter_dns_log,
-    save_conn_log,
-    save_dns_log,
-    tail_conn_log,
-    tail_dns_log,
-)
+from repro.monitor.ingest import open_log, save_log, sniff_log
 from repro.report.tables import (
+    render_failure_stats,
     render_pipeline_report,
     render_pressure,
     render_streaming_summary,
@@ -129,20 +109,13 @@ def _scenario_from_args(args: argparse.Namespace) -> ScenarioConfig:
     )
 
 
-def _add_generation_sharding_arguments(parser: argparse.ArgumentParser) -> None:
+def _add_shards_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--shards",
         type=int,
         default=None,
         help="generation house shards (default: auto from --workers); the "
         "trace is byte-identical for every shard count",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="generation worker processes; shards fan out over a fork pool "
-        "and merge byte-identically (default 1)",
     )
 
 
@@ -212,21 +185,14 @@ def _print_ingest_reports(reports, stream) -> None:
             print(f"  ... and {remaining} more", file=stream)
 
 
-def _counted(records, counter: list[int]):
-    """Yield *records* while counting them into ``counter[0]``."""
-    for record in records:
-        counter[0] += 1
-        yield record
-
-
 def _run_streaming_report(
-    args: argparse.Namespace, dns_records, conns, ingest_state=None
+    args: argparse.Namespace, dns_records, conns, lenient_logs=()
 ) -> None:
     """Run the one-pass engine over record iterables and print its report.
 
-    *ingest_state* carries ``(label, counter, quarantine)`` triples from a
-    lenient read; the resulting :class:`IngestReport` objects can only be
-    built after the run, once the lazy readers have drained.
+    *lenient_logs* are the :class:`~repro.monitor.ingest.LogReader`
+    objects of a lenient read; their reports can only be taken after
+    the run, once the lazy readers have drained.
     """
     reorder_window_s = args.reorder_window_s
     if reorder_window_s is None:
@@ -252,8 +218,7 @@ def _run_streaming_report(
             checkpoint_telemetry=telemetry,
         )
         report = render_pipeline_report(result)
-        if ingest_state is not None:
-            _print_ingest_reports(_build_ingest_reports(ingest_state), sys.stderr)
+        _print_ingest_reports([log.report() for log in lenient_logs], sys.stderr)
     else:
         summary = run_streaming_summary(
             dns_records,
@@ -264,9 +229,7 @@ def _run_streaming_report(
             resume=args.resume,
             checkpoint_telemetry=telemetry,
         )
-        ingest = None
-        if ingest_state is not None:
-            ingest = _build_ingest_reports(ingest_state)
+        ingest = tuple(log.report() for log in lenient_logs) or None
         report = render_streaming_summary(summary, ingest=ingest)
     if checkpoint is not None:
         # The run completed: the checkpoint has nothing left to resume.
@@ -283,16 +246,6 @@ def _run_streaming_report(
                 file=sys.stderr,
             )
     print(report)
-
-
-def _build_ingest_reports(ingest_state) -> tuple[IngestReport, ...]:
-    """Materialize lenient-ingest reports once the lazy readers drained."""
-    return tuple(
-        IngestReport(
-            path_label=label, parsed=counter[0], quarantined=tuple(quarantine)
-        )
-        for label, counter, quarantine in ingest_state
-    )
 
 
 def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
@@ -394,61 +347,35 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def cmd_generate(args: argparse.Namespace) -> int:
-    os.makedirs(args.out, exist_ok=True)
+def _generate(args: argparse.Namespace):
+    """The scenario's trace plus its pressure stats (None when unpressured)."""
     config = _scenario_from_args(args)
-    shards = getattr(args, "shards", None)
-    workers = getattr(args, "workers", 1)
-    pressure = None
     if config.pressure.enabled:
-        trace, pressure = generate_trace_with_pressure(config, shards=shards, workers=workers)
-    else:
-        trace = generate_trace(config, shards=shards, workers=workers)
-    if args.format == "bin":
-        dns_path = os.path.join(args.out, "dns.rblg")
-        conn_path = os.path.join(args.out, "conn.rblg")
-        save_dns_binlog(dns_path, trace.dns)
-        save_conn_binlog(conn_path, trace.conns)
-    else:
-        dns_path = os.path.join(args.out, "dns.log")
-        conn_path = os.path.join(args.out, "conn.log")
-        if args.format == "json":
-            from repro.monitor.json_logs import write_conn_json, write_dns_json
+        return generate_trace_with_pressure(config, shards=args.shards, workers=args.workers)
+    return generate_trace(config, shards=args.shards, workers=args.workers), None
 
-            with open(dns_path, "w", encoding="utf-8") as stream:
-                write_dns_json(stream, trace.dns)
-            with open(conn_path, "w", encoding="utf-8") as stream:
-                write_conn_json(stream, trace.conns)
-        else:
-            save_dns_log(dns_path, trace.dns)
-            save_conn_log(conn_path, trace.conns)
-    print(trace.summary())
+
+def _print_pressure(pressure) -> None:
+    """The cache/connection pressure section of a pressured run."""
     if pressure is not None:
         print()
         print("Cache/connection pressure:")
         print(render_pressure(pressure))
-    print(f"wrote {dns_path} ({len(trace.dns)} records)")
-    print(f"wrote {conn_path} ({len(trace.conns)} records)")
+
+
+def cmd_generate(args: argparse.Namespace) -> int:
+    os.makedirs(args.out, exist_ok=True)
+    trace, pressure = _generate(args)
+    fmt = "rblg" if args.format == "bin" else args.format
+    written = []
+    for kind, records in (("dns", trace.dns), ("conn", trace.conns)):
+        path = os.path.join(args.out, f"{kind}.{'rblg' if fmt == 'rblg' else 'log'}")
+        written.append((path, save_log(path, kind, fmt, records)))
+    print(trace.summary())
+    _print_pressure(pressure)
+    for path, count in written:
+        print(f"wrote {path} ({count} records)")
     return 0
-
-
-def _print_failure_stats(study: ContextStudy) -> None:
-    stats = study.failure_stats()
-    failed = {
-        resolver: stat for resolver, stat in stats.items() if stat.failures or stat.nxdomains
-    }
-    if not failed:
-        return
-    print()
-    print("Resolver failure rates:")
-    for resolver in sorted(failed):
-        stat = failed[resolver]
-        print(
-            f"  {resolver}: {stat.queries} queries, "
-            f"{stat.servfails} SERVFAIL, {stat.timeouts} timeout, "
-            f"{stat.refused} REFUSED, {stat.nxdomains} NXDOMAIN "
-            f"({100 * stat.failure_rate:.2f}% failed)"
-        )
 
 
 def _print_report(study: ContextStudy) -> None:
@@ -456,7 +383,10 @@ def _print_report(study: ContextStudy) -> None:
     print()
     print("Table 1 — resolver platform usage:")
     print(render_table1(study.resolver_usage()))
-    _print_failure_stats(study)
+    failures = render_failure_stats(study.failure_stats())
+    if failures:
+        print()
+        print(failures)
     print()
     print("Table 2 — DNS information origin by connection:")
     print(render_table2(study.breakdown))
@@ -488,68 +418,6 @@ def _print_report(study: ContextStudy) -> None:
     print(render_table3(study.refresh()))
 
 
-def _streaming_inputs(args: argparse.Namespace):
-    """Build the (dns, conn, ingest_state) input triple for streaming analyze.
-
-    Four reader shapes fall out of two independent flags: ``--follow``
-    swaps the lazy file readers for live tails, and ``--lenient`` threads
-    quarantine lists (plus record counters) through either reader so the
-    post-run :class:`IngestReport` can be assembled.
-    """
-    dns_is_bin = sniff_binlog(args.dns) is not None
-    conn_is_bin = sniff_binlog(args.conn) is not None
-    if dns_is_bin or conn_is_bin:
-        # Binary inputs: blocks are checksummed, so corruption surfaces
-        # as a hard decode error rather than a quarantineable line, and
-        # the format has no notion of a partially appended record.
-        if args.follow:
-            raise LogFormatError("--follow supports TSV logs only, not RBLG binlogs")
-        if args.lenient:
-            raise LogFormatError(
-                "--lenient applies to TSV logs; RBLG binlogs are "
-                "checksum-verified per block instead"
-            )
-        dns_records = (
-            iter_dns_binlog(args.dns) if dns_is_bin
-            else iter_dns_log(args.dns)
-        )
-        conns = (
-            iter_conn_binlog(args.conn) if conn_is_bin
-            else iter_conn_log(args.conn)
-        )
-        return dns_records, conns, None
-    ingest_state = None
-    strict = not args.lenient
-    dns_quarantine: list = []
-    conn_quarantine: list = []
-    if args.follow:
-        dns_records = tail_dns_log(
-            args.dns,
-            idle_timeout_s=args.idle_timeout_s,
-            strict=strict,
-            quarantine=dns_quarantine,
-        )
-        conns = tail_conn_log(
-            args.conn,
-            idle_timeout_s=args.idle_timeout_s,
-            strict=strict,
-            quarantine=conn_quarantine,
-        )
-    else:
-        dns_records = iter_dns_log(args.dns, strict=strict, quarantine=dns_quarantine)
-        conns = iter_conn_log(args.conn, strict=strict, quarantine=conn_quarantine)
-    if args.lenient:
-        dns_counter = [0]
-        conn_counter = [0]
-        dns_records = _counted(dns_records, dns_counter)
-        conns = _counted(conns, conn_counter)
-        ingest_state = (
-            ("dns", dns_counter, dns_quarantine),
-            ("conn", conn_counter, conn_quarantine),
-        )
-    return dns_records, conns, ingest_state
-
-
 def cmd_analyze(args: argparse.Namespace) -> int:
     if args.follow and not args.streaming:
         print("analyze --follow requires --streaming", file=sys.stderr)
@@ -568,8 +436,17 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         if not (args.dns and args.conn):
             print("analyze --streaming requires both --dns and --conn", file=sys.stderr)
             return 2
-        dns_records, conns, ingest_state = _streaming_inputs(args)
-        _run_streaming_report(args, dns_records, conns, ingest_state)
+        logs = [
+            open_log(
+                path,
+                kind,
+                strict=not args.lenient,
+                follow=args.follow,
+                idle_timeout_s=args.idle_timeout_s,
+            )
+            for path, kind in ((args.dns, "dns"), (args.conn, "conn"))
+        ]
+        _run_streaming_report(args, *logs, lenient_logs=logs if args.lenient else ())
         return 0
     if args.pcap:
         study = ContextStudy.from_pcap(args.pcap, local_networks=tuple(args.local_net))
@@ -587,70 +464,37 @@ def cmd_report(args: argparse.Namespace) -> int:
     if (args.checkpoint or args.resume) and not args.streaming:
         print("report --checkpoint/--resume requires --streaming", file=sys.stderr)
         return 2
-    config = _scenario_from_args(args)
-    pressure = None
-    shards = getattr(args, "shards", None)
-    if config.pressure.enabled:
-        trace, pressure = generate_trace_with_pressure(
-            config, shards=shards, workers=args.workers
-        )
-    else:
-        trace = generate_trace(config, shards=shards, workers=args.workers)
+    trace, pressure = _generate(args)
     if args.streaming:
         _run_streaming_report(args, trace.dns, trace.conns)
-        if pressure is not None:
-            print()
-            print("Cache/connection pressure:")
-            print(render_pressure(pressure))
-        return 0
-    _print_report(ContextStudy(trace))
-    if pressure is not None:
-        print()
-        print("Cache/connection pressure:")
-        print(render_pressure(pressure))
+    else:
+        _print_report(ContextStudy(trace))
+    _print_pressure(pressure)
     return 0
 
 
-def _sniff_tsv_kind(path: str) -> str | None:
-    """The ``#path`` label of a Zeek TSV log, when one is present."""
-    with open(path, "r", encoding="utf-8", errors="replace") as stream:
-        for line in stream:
-            if line.startswith("#path"):
-                parts = line.rstrip("\n").split("\t")
-                if len(parts) > 1 and parts[1] in ("dns", "conn"):
-                    return parts[1]
-            if not line.startswith("#"):
-                break
-    return None
-
-
 def cmd_convert(args: argparse.Namespace) -> int:
-    """Convert one trace log between TSV and the RBLG binary format.
+    """Convert one trace log between TSV or JSON and the RBLG binary format.
 
     Direction is inferred from the input: an RBLG file converts to TSV,
-    anything else is treated as TSV and converts to RBLG. The record
-    kind comes from the RBLG header or the TSV ``#path`` label; pass
-    ``--kind`` for headerless logs. ``--lenient`` (TSV inputs only)
-    quarantines corrupt rows through the standard ingest-report
-    machinery instead of aborting the migration.
+    anything else (TSV or JSON) converts to RBLG. The record kind comes
+    from the RBLG header or the TSV ``#path`` label; pass ``--kind`` for
+    JSON and headerless TSV logs. ``--lenient`` (text inputs only)
+    quarantines corrupt rows through the standard ingest report instead
+    of aborting the migration.
     """
-    bin_kind = sniff_binlog(args.input)
-    if bin_kind is not None:
+    fmt, kind = sniff_log(args.input)
+    if fmt == "rblg":
         if args.lenient:
             print("convert --lenient applies to TSV inputs only", file=sys.stderr)
             return 2
-        kind = "dns" if bin_kind == DNS_KIND else "conn"
         if args.kind and args.kind != kind:
             print(
                 f"convert: input is a {kind} binlog, but --kind {args.kind} was given",
                 file=sys.stderr,
             )
             return 2
-        convert = convert_dns_binlog_to_tsv if bin_kind == DNS_KIND else convert_conn_binlog_to_tsv
-        total = convert(args.input, args.output)
-        print(f"wrote {args.output} ({total} {kind} records, TSV)")
-        return 0
-    kind = args.kind or _sniff_tsv_kind(args.input)
+    kind = args.kind or kind
     if kind is None:
         print(
             "convert: cannot infer the record kind (no #path header); "
@@ -658,11 +502,11 @@ def cmd_convert(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    convert = convert_dns_tsv_to_binlog if kind == "dns" else convert_conn_tsv_to_binlog
-    total, report = convert(args.input, args.output, lenient=args.lenient)
-    if report is not None:
-        _print_ingest_reports((report,), sys.stderr)
-    print(f"wrote {args.output} ({total} {kind} records, RBLG)")
+    log = open_log(args.input, kind, strict=not args.lenient)
+    target = "tsv" if fmt == "rblg" else "rblg"
+    total = save_log(args.output, kind, target, log)
+    _print_ingest_reports((log.report(),), sys.stderr)
+    print(f"wrote {args.output} ({total} {kind} records, {target.upper()})")
     return 0
 
 
@@ -694,7 +538,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="log format: Zeek TSV (default), JSON-streaming, or the RBLG "
         "binary columnar format (writes dns.rblg/conn.rblg)",
     )
-    _add_generation_sharding_arguments(generate)
+    _add_shards_argument(generate)
+    _add_workers_argument(
+        generate,
+        "generation worker processes; shards fan out over a fork pool "
+        "and merge byte-identically (default 1)",
+    )
     generate.set_defaults(func=cmd_generate)
 
     analyze = subparsers.add_parser("analyze", help="analyse logs or a pcap")
@@ -735,13 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     report = subparsers.add_parser("report", help="generate and analyse in one step")
     _add_scenario_arguments(report)
-    report.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="generation house shards (default: auto from --workers); the "
-        "trace is byte-identical for every shard count",
-    )
+    _add_shards_argument(report)
     _add_workers_argument(
         report,
         "worker processes for generation shards and, with --streaming, "
@@ -753,18 +596,18 @@ def build_parser() -> argparse.ArgumentParser:
     convert = subparsers.add_parser(
         "convert", help="convert a trace log between TSV and RBLG binary"
     )
-    convert.add_argument("input", help="source log (Zeek TSV or .rblg)")
+    convert.add_argument("input", help="source log (Zeek TSV or JSON, or .rblg)")
     convert.add_argument("output", help="destination path")
     convert.add_argument(
         "--kind",
         choices=("dns", "conn"),
         default=None,
-        help="record kind when the input has no #path header (TSV inputs)",
+        help="record kind when the input has no #path header (TSV or JSON inputs)",
     )
     convert.add_argument(
         "--lenient",
         action="store_true",
-        help="TSV inputs: quarantine corrupt rows (reported on stderr) "
+        help="TSV or JSON inputs: quarantine corrupt rows (reported on stderr) "
         "instead of aborting the migration",
     )
     convert.set_defaults(func=cmd_convert)

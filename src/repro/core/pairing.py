@@ -117,14 +117,9 @@ class DnsIndex:
     drains matches :class:`Pairer` over the full history bit-for-bit.
     """
 
-    def __init__(
-        self, dns_records: Sequence[DnsRecord] = (), retain_records: bool = True
-    ) -> None:
+    def __init__(self, dns_records: Sequence[DnsRecord] = ()) -> None:
         self._by_house_address: dict[tuple[str, str], list[_Candidate]] = defaultdict(list)
         self._keys: dict[tuple[str, str], list[float]] = {}
-        self.retain_records = retain_records
-        self.records: list[DnsRecord] = []
-        self.failed_records = 0
         self._seq = 0
         self._last_completed_s = -math.inf
         self._drained_to_s = -math.inf
@@ -154,13 +149,10 @@ class DnsIndex:
                 f"{record.completed_at} after {self._last_completed_s}"
             )
         self._last_completed_s = record.completed_at
-        if self.retain_records:
-            self.records.append(record)
         if record.failed:
             # A timed-out or SERVFAIL transaction delivered no
             # mapping: it must never become a pairing candidate,
             # even if a malformed log line carries stray answers.
-            self.failed_records += 1
             return
         self._seq += 1
         placements: list[tuple[tuple[str, str], _Candidate]] = []
@@ -365,9 +357,8 @@ class Pairer:
         policy: PairingPolicy = PairingPolicy.MOST_RECENT,
         rng: random.Random | None = None,
         seed: int = 0,
-        retain_records: bool = True,
     ) -> None:
-        self.index = DnsIndex(dns_records, retain_records=retain_records)
+        self.index = DnsIndex(dns_records)
         self.policy = policy
         self._rng = rng
         self._streams: RandomStreams | None = None

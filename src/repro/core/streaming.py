@@ -462,7 +462,6 @@ class StreamingAnalyzer:
         self.pairer = Pairer(
             policy=options.pairing_policy,
             seed=options.pairing_seed,
-            retain_records=False,
         )
         self._blocking_threshold = options.classifier.blocking_threshold
         self.state = StreamingState(exact=self.config.exact)

@@ -20,12 +20,8 @@ from repro.monitor.logs import (
     write_conn_log,
     write_dns_log,
 )
-from repro.monitor.json_logs import (
-    read_conn_json,
-    read_dns_json,
-    write_conn_json,
-    write_dns_json,
-)
+from repro.monitor.ingest import LogReader, open_log, save_log, sniff_log
+from repro.monitor.json_logs import write_conn_json, write_dns_json
 from repro.monitor.pcap_ingest import PcapIngest, trace_from_pcap
 from repro.monitor.records import (
     ConnRecord,
@@ -41,6 +37,7 @@ __all__ = [
     "DnsAnswer",
     "DnsRecord",
     "GroundTruth",
+    "LogReader",
     "MonitorCapture",
     "PcapIngest",
     "Proto",
@@ -53,15 +50,16 @@ __all__ = [
     "load_dns_binlog",
     "load_dns_log",
     "merge_traces",
-    "read_conn_json",
+    "open_log",
     "read_conn_log",
-    "read_dns_json",
     "read_dns_log",
     "save_conn_binlog",
+    "save_log",
     "save_conn_log",
     "save_dns_binlog",
     "save_dns_log",
     "sniff_binlog",
+    "sniff_log",
     "trace_from_pcap",
     "write_conn_json",
     "write_conn_log",

@@ -52,7 +52,6 @@ the file: the OS pages in only the blocks actually decoded, so
 from __future__ import annotations
 
 import mmap
-import os
 import struct
 import sys
 import zlib
@@ -85,6 +84,7 @@ _PROTO_CODES = {Proto.TCP: 0, Proto.UDP: 1}
 _PROTO_BY_CODE = (Proto.TCP, Proto.UDP)
 
 _KIND_LABELS = {DNS_KIND: "dns", CONN_KIND: "conn"}
+_KIND_CODES = {label: code for code, label in _KIND_LABELS.items()}
 
 
 def _pack_array(values: array) -> bytes:
@@ -469,7 +469,7 @@ def _parse_file_header(buffer, expect_kind: int) -> int:
     return total
 
 
-def _iter_blocks(buffer, expect_kind: int, verify: bool) -> Iterator[list]:
+def _iter_blocks(buffer, expect_kind: int) -> Iterator[list]:
     """Yield each block's decoded record list (shared reader loop)."""
     total = _parse_file_header(buffer, expect_kind)
     decode = _DECODERS[expect_kind]
@@ -487,7 +487,7 @@ def _iter_blocks(buffer, expect_kind: int, verify: bool) -> Iterator[list]:
         payload = buffer[offset : offset + payload_len]
         if len(payload) != payload_len:
             raise LogFormatError(f"binlog block {block}: truncated payload")
-        if verify and zlib.crc32(payload) != checksum:
+        if zlib.crc32(payload) != checksum:
             raise LogFormatError(f"binlog block {block}: checksum mismatch")
         yield decode(payload, count)
         seen += count
@@ -499,18 +499,18 @@ def _iter_blocks(buffer, expect_kind: int, verify: bool) -> Iterator[list]:
         )
 
 
-def read_dns_binlog(buffer, verify: bool = True) -> list[DnsRecord]:
+def read_dns_binlog(buffer) -> list[DnsRecord]:
     """Decode a dns binlog from a bytes-like buffer."""
     records: list[DnsRecord] = []
-    for block in _iter_blocks(buffer, DNS_KIND, verify):
+    for block in _iter_blocks(buffer, DNS_KIND):
         records.extend(block)
     return records
 
 
-def read_conn_binlog(buffer, verify: bool = True) -> list[ConnRecord]:
+def read_conn_binlog(buffer) -> list[ConnRecord]:
     """Decode a conn binlog from a bytes-like buffer."""
     records: list[ConnRecord] = []
-    for block in _iter_blocks(buffer, CONN_KIND, verify):
+    for block in _iter_blocks(buffer, CONN_KIND):
         records.extend(block)
     return records
 
@@ -519,36 +519,44 @@ def _mmap_file(stream: IO[bytes]) -> mmap.mmap:
     return mmap.mmap(stream.fileno(), 0, access=mmap.ACCESS_READ)
 
 
-def load_dns_binlog(path: str, verify: bool = True) -> list[DnsRecord]:
+def load_dns_binlog(path: str) -> list[DnsRecord]:
     """Read a dns ``.rblg`` file (mmap-backed, whole file)."""
     with open(path, "rb") as stream, _mmap_file(stream) as buffer:
-        return read_dns_binlog(buffer, verify)
+        return read_dns_binlog(buffer)
 
 
-def load_conn_binlog(path: str, verify: bool = True) -> list[ConnRecord]:
+def load_conn_binlog(path: str) -> list[ConnRecord]:
     """Read a conn ``.rblg`` file (mmap-backed, whole file)."""
     with open(path, "rb") as stream, _mmap_file(stream) as buffer:
-        return read_conn_binlog(buffer, verify)
+        return read_conn_binlog(buffer)
 
 
-def iter_dns_binlog(path: str, verify: bool = True) -> Iterator[DnsRecord]:
-    """Lazily read a dns ``.rblg`` file, one record at a time.
+def iter_binlog_blocks(path: str, kind: str) -> Iterator[list]:
+    """Lazily read an ``.rblg`` file of *kind* (``"dns"`` or ``"conn"``),
+    one decoded block at a time.
 
-    The binary counterpart of :func:`repro.monitor.logs.iter_dns_log`:
-    the file is mmapped and decoded block by block, so only one block's
+    The file is mmapped and decoded block by block, so only one block's
     records are materialized at once and the OS pages the rest in on
-    demand — feed it straight to the streaming pipeline.
+    demand.
     """
     with open(path, "rb") as stream, _mmap_file(stream) as buffer:
-        for block in _iter_blocks(buffer, DNS_KIND, verify):
-            yield from block
+        yield from _iter_blocks(buffer, _KIND_CODES[kind])
 
 
-def iter_conn_binlog(path: str, verify: bool = True) -> Iterator[ConnRecord]:
+def iter_dns_binlog(path: str) -> Iterator[DnsRecord]:
+    """Lazily read a dns ``.rblg`` file, one record at a time.
+
+    Feed it straight to the streaming pipeline; see
+    :func:`iter_binlog_blocks`.
+    """
+    for block in iter_binlog_blocks(path, "dns"):
+        yield from block
+
+
+def iter_conn_binlog(path: str) -> Iterator[ConnRecord]:
     """Lazily read a conn ``.rblg`` file; see :func:`iter_dns_binlog`."""
-    with open(path, "rb") as stream, _mmap_file(stream) as buffer:
-        for block in _iter_blocks(buffer, CONN_KIND, verify):
-            yield from block
+    for block in iter_binlog_blocks(path, "conn"):
+        yield from block
 
 
 # -- sniffing ----------------------------------------------------------------
@@ -557,16 +565,26 @@ def iter_conn_binlog(path: str, verify: bool = True) -> Iterator[ConnRecord]:
 def sniff_binlog(path: str) -> int | None:
     """The record kind of the binlog at *path*, or None for non-binlogs.
 
-    Reads only the 16-byte header, so it is safe to call on TSV or JSON
-    logs before choosing a reader. Returns :data:`DNS_KIND` or
-    :data:`CONN_KIND`; an RBLG file with an unknown version or kind
-    raises, distinguishing "not a binlog" from "a binlog we can't read".
+    Safe to call on TSV or JSON logs and on missing paths; see
+    :func:`read_binlog_kind`.
     """
     try:
         with open(path, "rb") as stream:
-            header = stream.read(_FILE_HEADER.size)
+            label = read_binlog_kind(stream)
     except OSError:
         return None
+    return None if label is None else _KIND_CODES[label]
+
+
+def read_binlog_kind(stream: IO[bytes]) -> str | None:
+    """The record kind (``"dns"`` or ``"conn"``) an RBLG file header
+    names, or None if *stream* is not RBLG.
+
+    Reads only the 16-byte header from *stream*; an RBLG header with an
+    unknown version or kind raises, distinguishing "not a binlog" from
+    "a binlog we can't read".
+    """
+    header = stream.read(_FILE_HEADER.size)
     if len(header) < 4 or header[:4] != BINLOG_MAGIC:
         return None
     if len(header) < _FILE_HEADER.size:
@@ -578,92 +596,4 @@ def sniff_binlog(path: str) -> int | None:
         )
     if kind not in _KIND_LABELS:
         raise LogFormatError(f"unknown binlog kind {kind}")
-    return kind
-
-
-def is_binlog(path: str) -> bool:
-    """True when *path* starts with the RBLG magic."""
-    try:
-        with open(path, "rb") as stream:
-            return stream.read(4) == BINLOG_MAGIC
-    except OSError:
-        return False
-
-
-# -- TSV <-> binary converters ----------------------------------------------
-
-
-def convert_dns_tsv_to_binlog(
-    src: str,
-    dst: str,
-    lenient: bool = False,
-    block_records: int = DEFAULT_BLOCK_RECORDS,
-) -> tuple[int, "IngestReport | None"]:
-    """Convert a dns.log TSV at *src* into an RBLG file at *dst*.
-
-    In lenient mode malformed TSV rows are quarantined through the
-    standard :class:`~repro.monitor.logs.IngestReport` machinery instead
-    of aborting the migration; the report (with line numbers and
-    reasons) is returned alongside the converted-record count. Strict
-    mode returns ``None`` for the report and raises on the first bad
-    row. The records stream straight from the TSV parser into the block
-    encoder, so the conversion never holds the full log in memory.
-    """
-    from repro.monitor.logs import IngestReport, QuarantinedLine, iter_dns_log
-
-    quarantine: list[QuarantinedLine] = []
-    records = iter_dns_log(
-        src, strict=not lenient, quarantine=quarantine if lenient else None
-    )
-    total = save_dns_binlog(dst, records, block_records)
-    if not lenient:
-        return total, None
-    report = IngestReport(
-        path_label="dns", parsed=total, quarantined=tuple(quarantine)
-    )
-    return total, report
-
-
-def convert_conn_tsv_to_binlog(
-    src: str,
-    dst: str,
-    lenient: bool = False,
-    block_records: int = DEFAULT_BLOCK_RECORDS,
-) -> tuple[int, "IngestReport | None"]:
-    """Convert a conn.log TSV at *src* into an RBLG file at *dst*.
-
-    See :func:`convert_dns_tsv_to_binlog` for the lenient contract.
-    """
-    from repro.monitor.logs import IngestReport, QuarantinedLine, iter_conn_log
-
-    quarantine: list[QuarantinedLine] = []
-    records = iter_conn_log(
-        src, strict=not lenient, quarantine=quarantine if lenient else None
-    )
-    total = save_conn_binlog(dst, records, block_records)
-    if not lenient:
-        return total, None
-    report = IngestReport(
-        path_label="conn", parsed=total, quarantined=tuple(quarantine)
-    )
-    return total, report
-
-
-def convert_dns_binlog_to_tsv(src: str, dst: str, verify: bool = True) -> int:
-    """Convert a dns ``.rblg`` at *src* back to Zeek-style TSV at *dst*.
-
-    The inverse migration: block checksums are verified by default, and
-    the emitted TSV is byte-identical to what :func:`save_dns_log`
-    writes for the same records — the round-trip tests pin
-    ``TSV -> binlog -> TSV`` byte equality.
-    """
-    from repro.monitor.logs import save_dns_log
-
-    return save_dns_log(dst, iter_dns_binlog(src, verify))
-
-
-def convert_conn_binlog_to_tsv(src: str, dst: str, verify: bool = True) -> int:
-    """Convert a conn ``.rblg`` at *src* back to TSV at *dst*."""
-    from repro.monitor.logs import save_conn_log
-
-    return save_conn_log(dst, iter_conn_binlog(src, verify))
+    return _KIND_LABELS[kind]

@@ -72,21 +72,25 @@ def _require(payload: dict, field: str, number: int):
     return payload[field]
 
 
-def read_dns_json(stream: IO[str]) -> list[DnsRecord]:
-    """Parse a JSON-streaming dns.log."""
-    records: list[DnsRecord] = []
-    for number, line in enumerate(stream, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        payload = _load_line(line, number)
-        answers_data = payload.get("answers", []) or []
-        ttls = payload.get("TTLs", []) or []
-        types = payload.get("answer_types", []) or []
-        if ttls and len(ttls) != len(answers_data):
-            raise LogFormatError(
-                f"line {number}: {len(answers_data)} answers but {len(ttls)} TTLs"
-            )
+def dns_record_from_json(line: str, _fields: dict[str, int], number: int) -> DnsRecord:
+    """Parse one JSON-streaming dns.log line into a :class:`DnsRecord`.
+
+    The per-line parser :mod:`repro.monitor.ingest` hands to the shared
+    text parse loop; JSON lines name their own fields, so the TSV field
+    map (*_fields*) is unused.
+    """
+    payload = _load_line(line, number)
+    answers_data = payload.get("answers", []) or []
+    ttls = payload.get("TTLs", []) or []
+    types = payload.get("answer_types", []) or []
+    for name, value in (("answers", answers_data), ("TTLs", ttls), ("answer_types", types)):
+        if not isinstance(value, list):
+            raise LogFormatError(f"line {number}: {name} must be a list")
+    if ttls and len(ttls) != len(answers_data):
+        raise LogFormatError(
+            f"line {number}: {len(answers_data)} answers but {len(ttls)} TTLs"
+        )
+    try:
         answers = tuple(
             DnsAnswer(
                 data=str(data),
@@ -95,56 +99,44 @@ def read_dns_json(stream: IO[str]) -> list[DnsRecord]:
             )
             for i, data in enumerate(answers_data)
         )
-        try:
-            records.append(
-                DnsRecord(
-                    ts=float(_require(payload, "ts", number)),
-                    uid=str(_require(payload, "uid", number)),
-                    orig_h=str(_require(payload, "id.orig_h", number)),
-                    orig_p=int(_require(payload, "id.orig_p", number)),
-                    resp_h=str(_require(payload, "id.resp_h", number)),
-                    resp_p=int(payload.get("id.resp_p", 53)),
-                    proto=Proto.parse(str(payload.get("proto", "udp"))),
-                    query=str(_require(payload, "query", number)),
-                    qtype=str(payload.get("qtype_name", "A")),
-                    rcode=str(payload.get("rcode_name", "NOERROR")),
-                    rtt=float(payload.get("rtt", 0.0)),
-                    answers=answers,
-                )
-            )
-        except (TypeError, ValueError) as exc:
-            raise LogFormatError(f"line {number}: {exc}") from exc
-    return records
+        return DnsRecord(
+            ts=float(_require(payload, "ts", number)),
+            uid=str(_require(payload, "uid", number)),
+            orig_h=str(_require(payload, "id.orig_h", number)),
+            orig_p=int(_require(payload, "id.orig_p", number)),
+            resp_h=str(_require(payload, "id.resp_h", number)),
+            resp_p=int(payload.get("id.resp_p", 53)),
+            proto=Proto.parse(str(payload.get("proto", "udp"))),
+            query=str(_require(payload, "query", number)),
+            qtype=str(payload.get("qtype_name", "A")),
+            rcode=str(payload.get("rcode_name", "NOERROR")),
+            rtt=float(payload.get("rtt", 0.0)),
+            answers=answers,
+        )
+    except (TypeError, ValueError) as exc:
+        raise LogFormatError(f"line {number}: {exc}") from exc
 
 
-def read_conn_json(stream: IO[str]) -> list[ConnRecord]:
-    """Parse a JSON-streaming conn.log."""
-    records: list[ConnRecord] = []
-    for number, line in enumerate(stream, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        payload = _load_line(line, number)
-        try:
-            records.append(
-                ConnRecord(
-                    ts=float(_require(payload, "ts", number)),
-                    uid=str(_require(payload, "uid", number)),
-                    orig_h=str(_require(payload, "id.orig_h", number)),
-                    orig_p=int(_require(payload, "id.orig_p", number)),
-                    resp_h=str(_require(payload, "id.resp_h", number)),
-                    resp_p=int(_require(payload, "id.resp_p", number)),
-                    proto=Proto.parse(str(_require(payload, "proto", number))),
-                    service=str(payload.get("service", "-")),
-                    duration=float(payload.get("duration", 0.0)),
-                    orig_bytes=int(payload.get("orig_bytes", 0)),
-                    resp_bytes=int(payload.get("resp_bytes", 0)),
-                    conn_state=str(payload.get("conn_state", "SF")),
-                )
-            )
-        except (TypeError, ValueError) as exc:
-            raise LogFormatError(f"line {number}: {exc}") from exc
-    return records
+def conn_record_from_json(line: str, _fields: dict[str, int], number: int) -> ConnRecord:
+    """Parse one JSON-streaming conn.log line; see :func:`dns_record_from_json`."""
+    payload = _load_line(line, number)
+    try:
+        return ConnRecord(
+            ts=float(_require(payload, "ts", number)),
+            uid=str(_require(payload, "uid", number)),
+            orig_h=str(_require(payload, "id.orig_h", number)),
+            orig_p=int(_require(payload, "id.orig_p", number)),
+            resp_h=str(_require(payload, "id.resp_h", number)),
+            resp_p=int(_require(payload, "id.resp_p", number)),
+            proto=Proto.parse(str(_require(payload, "proto", number))),
+            service=str(payload.get("service", "-")),
+            duration=float(payload.get("duration", 0.0)),
+            orig_bytes=int(payload.get("orig_bytes", 0)),
+            resp_bytes=int(payload.get("resp_bytes", 0)),
+            conn_state=str(payload.get("conn_state", "SF")),
+        )
+    except (TypeError, ValueError) as exc:
+        raise LogFormatError(f"line {number}: {exc}") from exc
 
 
 def write_dns_json(stream: IO[str], records: Iterable[DnsRecord]) -> int:

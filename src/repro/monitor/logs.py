@@ -29,9 +29,11 @@ class QuarantinedLine:
 
 @dataclass(frozen=True, slots=True)
 class IngestReport:
-    """What a lenient log read parsed and what it quarantined.
+    """What a log read parsed and what it quarantined.
 
-    Real capture infrastructure produces the occasional truncated or
+    Every read through :func:`repro.monitor.ingest.open_log` hands one
+    back, whatever the format; only a lenient read quarantines. Real
+    capture infrastructure produces the occasional truncated or
     corrupt line (disk-full, rotation races, mid-write crashes); the
     paper's conservative stance is to analyse what is unambiguous and
     account for the rest, not to abort. ``quarantined`` preserves line
@@ -182,17 +184,6 @@ def write_conn_log(stream: IO[str], records: Iterable[ConnRecord]) -> int:
     return count
 
 
-def _parse_header(lines: Iterator[tuple[int, str]]) -> dict[str, int]:
-    """Consume header lines until #fields is found; returns name->index."""
-    for number, line in lines:
-        if not line.startswith("#"):
-            raise LogFormatError(f"line {number}: data before #fields header")
-        if line.startswith("#fields"):
-            parts = line.rstrip("\n").split(_SEPARATOR)
-            return {name: index for index, name in enumerate(parts[1:])}
-    raise LogFormatError("log ended before a #fields header")
-
-
 def _field(columns: list[str], index_by_name: dict[str, int], name: str, line_number: int) -> str:
     index = index_by_name.get(name)
     if index is None or index >= len(columns):
@@ -206,10 +197,9 @@ def _parse_vector(text: str) -> list[str]:
     return text.split(_VECTOR_SEPARATOR)
 
 
-def _dns_from_columns(
-    columns: list[str], index_by_name: dict[str, int], number: int
-) -> DnsRecord:
-    """Build one :class:`DnsRecord` from a split data line."""
+def dns_record_from_line(line: str, index_by_name: dict[str, int], number: int) -> DnsRecord:
+    """Parse one TSV data line into a :class:`DnsRecord`."""
+    columns = line.split(_SEPARATOR)
     answers_text = _field(columns, index_by_name, "answers", number)
     ttls_text = _field(columns, index_by_name, "TTLs", number)
     types_text = (
@@ -254,15 +244,14 @@ def _dns_from_columns(
     )
 
 
-def _conn_from_columns(
-    columns: list[str], index_by_name: dict[str, int], number: int
-) -> ConnRecord:
-    """Build one :class:`ConnRecord` from a split data line."""
+def conn_record_from_line(line: str, index_by_name: dict[str, int], number: int) -> ConnRecord:
+    """Parse one TSV data line into a :class:`ConnRecord`."""
+    columns = line.split(_SEPARATOR)
     duration_text = _field(columns, index_by_name, "duration", number)
     duration = 0.0 if duration_text == _UNSET else float(duration_text)
     orig_bytes = int(_field(columns, index_by_name, "orig_bytes", number))
     resp_bytes = int(_field(columns, index_by_name, "resp_bytes", number))
-    # Boundary validation (see _dns_from_columns).
+    # Boundary validation (see dns_record_from_line).
     if duration < 0:
         raise LogFormatError(f"line {number}: duration cannot be negative: {duration}")
     if orig_bytes < 0 or resp_bytes < 0:
@@ -283,38 +272,21 @@ def _conn_from_columns(
     )
 
 
-def read_dns_log(stream: IO[str], strict: bool = True) -> list[DnsRecord]:
+def read_dns_log(stream: IO[str]) -> list[DnsRecord]:
     """Parse a dns.log written by :func:`write_dns_log` (or Zeek-like).
 
-    With ``strict=False`` malformed lines are silently skipped; use
-    :func:`read_dns_log_lenient` to also get the quarantine report.
+    Strict: a malformed line raises. Lenient reading, with a quarantine
+    report, goes through :func:`repro.monitor.ingest.open_log`.
     """
-    return list(_parse_lines(stream, _dns_from_columns, strict, None))
+    return list(_parse_lines(stream, dns_record_from_line, True, None))
 
 
-def read_conn_log(stream: IO[str], strict: bool = True) -> list[ConnRecord]:
+def read_conn_log(stream: IO[str]) -> list[ConnRecord]:
     """Parse a conn.log written by :func:`write_conn_log` (or Zeek-like).
 
-    With ``strict=False`` malformed lines are silently skipped; use
-    :func:`read_conn_log_lenient` to also get the quarantine report.
+    Strict, like :func:`read_dns_log`.
     """
-    return list(_parse_lines(stream, _conn_from_columns, strict, None))
-
-
-def read_dns_log_lenient(stream: IO[str]) -> tuple[list[DnsRecord], IngestReport]:
-    """Parse a dns.log, quarantining malformed lines instead of raising."""
-    quarantined: list[QuarantinedLine] = []
-    records = list(_parse_lines(stream, _dns_from_columns, False, quarantined))
-    report = IngestReport(path_label="dns", parsed=len(records), quarantined=tuple(quarantined))
-    return records, report
-
-
-def read_conn_log_lenient(stream: IO[str]) -> tuple[list[ConnRecord], IngestReport]:
-    """Parse a conn.log, quarantining malformed lines instead of raising."""
-    quarantined: list[QuarantinedLine] = []
-    records = list(_parse_lines(stream, _conn_from_columns, False, quarantined))
-    report = IngestReport(path_label="conn", parsed=len(records), quarantined=tuple(quarantined))
-    return records, report
+    return list(_parse_lines(stream, conn_record_from_line, True, None))
 
 
 def save_dns_log(path: str, records: Iterable[DnsRecord]) -> int:
@@ -346,22 +318,26 @@ def _parse_lines(
     parse,
     strict: bool,
     quarantine: list[QuarantinedLine] | None,
+    headers: bool = True,
 ) -> Iterator:
-    """The one parse loop behind the list, lazy and tailing readers.
+    """The one parse loop behind every text reader: TSV and JSON, whole
+    file, lazy and tailing alike.
 
-    Header (``#``) lines re-establish the field map whenever they
-    appear, so a tailed stream that crosses a rotation boundary picks
-    up the new file's header transparently. With ``strict`` a
-    malformed line raises :class:`LogFormatError`; otherwise it is
-    appended to *quarantine* (when given) and skipped, keeping a
-    long-lived tail alive across the occasional torn line.
+    *parse* turns one non-blank line into a record. With ``headers``
+    (TSV), ``#`` lines re-establish the field map whenever they appear,
+    so a tailed stream that crosses a rotation boundary picks up the
+    new file's header transparently; JSON lines name their own fields
+    (``headers=False``). With ``strict`` a malformed line raises
+    :class:`LogFormatError`; otherwise it is appended to *quarantine*
+    (when given) and skipped, keeping a long-lived tail alive across
+    the occasional torn line.
     """
-    index_by_name: dict[str, int] | None = None
+    index_by_name: dict[str, int] | None = None if headers else {}
     for number, line in enumerate(lines, start=1):
         line = line.rstrip("\n")
-        if not line:
+        if not line or (not headers and line.isspace()):
             continue
-        if line.startswith("#"):
+        if headers and line.startswith("#"):
             if line.startswith("#fields"):
                 parts = line.split(_SEPARATOR)
                 index_by_name = {name: index for index, name in enumerate(parts[1:])}
@@ -374,9 +350,8 @@ def _parse_lines(
                     QuarantinedLine(number, "data before #fields header", line)
                 )
             continue
-        columns = line.split(_SEPARATOR)
         try:
-            yield parse(columns, index_by_name, number)
+            yield parse(line, index_by_name, number)
         except (ValueError, LogFormatError) as exc:
             if strict:
                 if isinstance(exc, LogFormatError):
@@ -384,35 +359,6 @@ def _parse_lines(
                 raise LogFormatError(f"line {number}: {exc}") from exc
             if quarantine is not None:
                 quarantine.append(QuarantinedLine(number, str(exc), line))
-
-
-def iter_dns_log(
-    path: str,
-    strict: bool = True,
-    quarantine: list[QuarantinedLine] | None = None,
-) -> Iterator[DnsRecord]:
-    """Lazily read a dns.log from *path*, one record at a time.
-
-    The streaming counterpart of :func:`load_dns_log`: feed it straight
-    to :func:`repro.core.parallel.run_streaming_pipeline` and the full
-    record list never exists in memory. The file stays open until the
-    generator is exhausted or closed. ``strict=False`` plus a
-    *quarantine* list gives lenient ingest with a post-hoc audit trail."""
-    with open(path, "r", encoding="utf-8") as stream:
-        yield from _parse_lines(stream, _dns_from_columns, strict, quarantine)
-
-
-def iter_conn_log(
-    path: str,
-    strict: bool = True,
-    quarantine: list[QuarantinedLine] | None = None,
-) -> Iterator[ConnRecord]:
-    """Lazily read a conn.log from *path*, one record at a time.
-
-    The streaming counterpart of :func:`load_conn_log`; see
-    :func:`iter_dns_log`."""
-    with open(path, "r", encoding="utf-8") as stream:
-        yield from _parse_lines(stream, _conn_from_columns, strict, quarantine)
 
 
 def tail_lines(
@@ -509,36 +455,3 @@ def tail_lines(
             stream.close()
             return
         time.sleep(poll_interval_s)
-
-
-def tail_dns_log(
-    path: str,
-    poll_interval_s: float = 0.25,
-    idle_timeout_s: float | None = None,
-    stop: Callable[[], bool] | None = None,
-    strict: bool = True,
-    quarantine: list[QuarantinedLine] | None = None,
-) -> Iterator[DnsRecord]:
-    """Follow a growing dns.log, yielding records as they are written.
-
-    :func:`tail_lines` handles growth, rotation, and truncation; this
-    wrapper parses each completed line, re-reading headers whenever a
-    rotation delivers a fresh file. Lenient mode (``strict=False``)
-    quarantines torn or malformed lines instead of killing the tail."""
-    lines = tail_lines(path, poll_interval_s, idle_timeout_s, stop)
-    yield from _parse_lines(lines, _dns_from_columns, strict, quarantine)
-
-
-def tail_conn_log(
-    path: str,
-    poll_interval_s: float = 0.25,
-    idle_timeout_s: float | None = None,
-    stop: Callable[[], bool] | None = None,
-    strict: bool = True,
-    quarantine: list[QuarantinedLine] | None = None,
-) -> Iterator[ConnRecord]:
-    """Follow a growing conn.log, yielding records as they are written.
-
-    See :func:`tail_dns_log`."""
-    lines = tail_lines(path, poll_interval_s, idle_timeout_s, stop)
-    yield from _parse_lines(lines, _conn_from_columns, strict, quarantine)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.core.classify import ClassBreakdown
+from repro.core.classify import ClassBreakdown, ResolverFailureStats
 from repro.core.improvements import RefreshComparison
 from repro.core.parallel import PipelineResult, PressureStats
 from repro.core.resolvers import ResolverUsageRow
@@ -100,6 +100,20 @@ def render_table3(comparison: RefreshComparison) -> str:
     ]
     return render_table(("", "Standard", "Refresh All"), body)
 
+
+def render_failure_stats(stats: dict[str, ResolverFailureStats]) -> str:
+    """Per-resolver failure rates; empty when no resolver failed."""
+    rows = [
+        f"  {resolver}: {stat.queries} queries, "
+        f"{stat.servfails} SERVFAIL, {stat.timeouts} timeout, "
+        f"{stat.refused} REFUSED, {stat.nxdomains} NXDOMAIN "
+        f"({100 * stat.failure_rate:.2f}% failed)"
+        for resolver, stat in sorted(stats.items())
+        if stat.failures or stat.nxdomains
+    ]
+    return "\n".join(["Resolver failure rates:", *rows]) if rows else ""
+
+
 def render_pipeline_report(result: "PipelineResult") -> str:
     """Text report of one §4–§6 pipeline run.
 
@@ -149,23 +163,10 @@ def render_pipeline_report(result: "PipelineResult") -> str:
             f"  {resolver}: {1000 * result.thresholds[resolver]:.1f} ms"
             for resolver in sorted(result.thresholds)
         )
-    failed = {
-        resolver: stats
-        for resolver, stats in result.failure_stats.items()
-        if stats.failures or stats.nxdomains
-    }
-    if failed:
+    failures = render_failure_stats(result.failure_stats)
+    if failures:
         lines.append("")
-        lines.append("Resolver failure rates:")
-        lines.extend(
-            f"  {resolver}: {failed[resolver].queries} queries, "
-            f"{failed[resolver].servfails} SERVFAIL, "
-            f"{failed[resolver].timeouts} timeout, "
-            f"{failed[resolver].refused} REFUSED, "
-            f"{failed[resolver].nxdomains} NXDOMAIN "
-            f"({100 * failed[resolver].failure_rate:.2f}% failed)"
-            for resolver in sorted(failed)
-        )
+        lines.append(failures)
     return "\n".join(lines)
 
 

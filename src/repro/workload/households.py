@@ -116,10 +116,6 @@ class House:
             self._next_nat_port = NAT_PORT_LOW
         return port
 
-    def devices_of_kind(self, kind: str) -> list[Device]:
-        """All devices of the given kind."""
-        return [device for device in self.devices if device.kind == kind]
-
     def __repr__(self) -> str:
         return f"House({self.index}, ip={self.ip!r}, kind={self.kind!r}, devices={len(self.devices)})"
 
@@ -218,14 +214,6 @@ class HouseholdBuilder:
         faithful to Table 1's platform mix.
         """
         return _plan_kinds(self.mix, self.rng, count)
-
-    def build_house(self, index: int, kind: str | None = None) -> House:
-        """Sample one complete house (of the given kind, or sampled)."""
-        if kind is None:
-            kind = self.plan_kinds(1)[0]
-        return self.build_house_from_plan(
-            HousePlan(index=index, kind=kind, seed=self.rng.getrandbits(64))
-        )
 
     def build_house_from_plan(self, plan: HousePlan) -> House:
         """Build one complete house entirely from its fixed plan.

@@ -1,11 +1,12 @@
-"""RBLG binary trace format: round-trips, corruption, converters.
+"""RBLG binary trace format: round-trips, corruption, conversion.
 
 The format's contract is exactness — `record -> binlog -> record` is
 the identity, and `TSV -> binlog -> TSV` is byte-identical — plus loud
 failure on anything torn or mislabelled. Property tests drive the
 field domains (unicode strings, boundary ports, u64 byte counts);
 directed tests pin the failure modes (bad magic, checksum mismatch,
-truncation, kind confusion) and the lenient converter path.
+truncation, kind confusion) and the lenient conversion path, which
+runs through the :mod:`repro.monitor.ingest` front door.
 """
 
 from __future__ import annotations
@@ -18,13 +19,8 @@ from repro.monitor.binlog import (
     BINLOG_MAGIC,
     CONN_KIND,
     DNS_KIND,
-    convert_conn_binlog_to_tsv,
-    convert_conn_tsv_to_binlog,
-    convert_dns_binlog_to_tsv,
-    convert_dns_tsv_to_binlog,
     encode_conn_binlog,
     encode_dns_binlog,
-    is_binlog,
     iter_conn_binlog,
     iter_dns_binlog,
     load_conn_binlog,
@@ -35,6 +31,7 @@ from repro.monitor.binlog import (
     save_dns_binlog,
     sniff_binlog,
 )
+from repro.monitor.ingest import open_log, save_log, sniff_log
 from repro.monitor.logs import save_conn_log, save_dns_log
 from repro.monitor.records import ConnRecord, DnsAnswer, DnsRecord, Proto
 
@@ -155,15 +152,28 @@ class TestFilesAndIterators:
         dns_path = str(tmp_path / "dns.rblg")
         conn_path = str(tmp_path / "conn.rblg")
         tsv_path = str(tmp_path / "dns.log")
+        json_path = str(tmp_path / "conn.json")
         save_dns_binlog(dns_path, [_dns()])
         save_conn_binlog(conn_path, [_conn()])
         save_dns_log(tsv_path, [_dns()])
+        save_log(json_path, "conn", "json", [_conn()])
         assert sniff_binlog(dns_path) == DNS_KIND
         assert sniff_binlog(conn_path) == CONN_KIND
         assert sniff_binlog(tsv_path) is None
-        assert is_binlog(dns_path)
-        assert not is_binlog(tsv_path)
-        assert not is_binlog(str(tmp_path / "missing.rblg"))
+        assert sniff_binlog(json_path) is None
+        assert sniff_binlog(str(tmp_path / "missing.rblg")) is None
+        assert sniff_log(dns_path) == ("rblg", "dns")
+        assert sniff_log(conn_path) == ("rblg", "conn")
+        assert sniff_log(tsv_path) == ("tsv", "dns")
+        assert sniff_log(json_path) == ("json", None)
+        # One front door reads all three formats to the same records.
+        assert list(open_log(json_path, "conn")) == [_conn()]
+        assert list(open_log(conn_path, "conn")) == [_conn()]
+        assert list(open_log(tsv_path, "dns")) == list(open_log(dns_path, "dns"))
+        empty_path = tmp_path / "empty.log"
+        empty_path.write_text("\n")
+        assert sniff_log(str(empty_path)) == (None, None)
+        assert list(open_log(str(empty_path), "dns")) == []
 
 
 class TestCorruption:
@@ -192,6 +202,12 @@ class TestCorruption:
             read_dns_binlog(payload[:-10])
 
 
+def _convert(src: str, dst: str, kind: str, fmt: str, lenient: bool = False):
+    """What ``repro-dns convert`` does: read any format, write *fmt*."""
+    log = open_log(src, kind, strict=not lenient)
+    return save_log(dst, kind, fmt, log), log.report()
+
+
 class TestTsvConverters:
     @settings(max_examples=25, deadline=None)
     @given(records=full_dns_records())
@@ -204,10 +220,10 @@ class TestTsvConverters:
             binary = os.path.join(tmp, "dns.rblg")
             second = os.path.join(tmp, "dns2.log")
             save_dns_log(first, records)
-            total, report = convert_dns_tsv_to_binlog(first, binary)
+            total, report = _convert(first, binary, "dns", "rblg")
             assert total == len(records)
-            assert report is None
-            assert convert_dns_binlog_to_tsv(binary, second) == len(records)
+            assert report.ok and report.parsed == total
+            assert _convert(binary, second, "dns", "tsv")[0] == len(records)
             with open(first, "rb") as a, open(second, "rb") as b:
                 assert a.read() == b.read()
 
@@ -222,10 +238,10 @@ class TestTsvConverters:
             binary = os.path.join(tmp, "conn.rblg")
             second = os.path.join(tmp, "conn2.log")
             save_conn_log(first, records)
-            total, report = convert_conn_tsv_to_binlog(first, binary)
+            total, report = _convert(first, binary, "conn", "rblg")
             assert total == len(records)
-            assert report is None
-            assert convert_conn_binlog_to_tsv(binary, second) == len(records)
+            assert report.ok and report.parsed == total
+            assert _convert(binary, second, "conn", "tsv")[0] == len(records)
             with open(first, "rb") as a, open(second, "rb") as b:
                 assert a.read() == b.read()
 
@@ -235,7 +251,7 @@ class TestTsvConverters:
         with open(src, "a", encoding="utf-8") as stream:
             stream.write("not\ta\tvalid\trow\n")
         with pytest.raises(LogFormatError):
-            convert_dns_tsv_to_binlog(str(src), str(tmp_path / "dns.rblg"))
+            _convert(str(src), str(tmp_path / "dns.rblg"), "dns", "rblg")
 
     def test_lenient_conversion_quarantines_garbage_row(self, tmp_path):
         src = tmp_path / "dns.log"
@@ -243,9 +259,29 @@ class TestTsvConverters:
         with open(src, "a", encoding="utf-8") as stream:
             stream.write("not\ta\tvalid\trow\n")
         dst = str(tmp_path / "dns.rblg")
-        total, report = convert_dns_tsv_to_binlog(str(src), dst, lenient=True)
+        total, report = _convert(str(src), dst, "dns", "rblg", lenient=True)
         assert total == 2
-        assert report is not None
         assert report.parsed == 2
         assert len(report.quarantined) == 1
         assert len(load_dns_binlog(dst)) == 2
+
+    @pytest.mark.parametrize("kind", ["dns", "conn"])
+    def test_cli_convert_json_to_binlog_to_tsv(self, tmp_path, capsys, kind):
+        from repro.cli import main
+
+        records = (
+            [_dns(ts=float(i), uid=f"D{i}") for i in range(5)]
+            if kind == "dns"
+            else [_conn(ts=float(i), uid=f"C{i}") for i in range(5)]
+        )
+        source = str(tmp_path / f"{kind}.json")
+        binary = str(tmp_path / f"{kind}.rblg")
+        text = str(tmp_path / f"{kind}.log")
+        expected = str(tmp_path / f"{kind}.expected.log")
+        save_log(source, kind, "json", records)
+        assert main(["convert", "--kind", kind, source, binary]) == 0
+        assert main(["convert", binary, text]) == 0
+        assert f"({len(records)} {kind} records, TSV)" in capsys.readouterr().out
+        save_log(expected, kind, "tsv", records)
+        with open(text, "rb") as converted, open(expected, "rb") as reference:
+            assert converted.read() == reference.read()

@@ -200,3 +200,15 @@ class TestCli:
         assert first.startswith("{")
         assert main(["analyze", "--dns", f"{out}/dns.log", "--conn", f"{out}/conn.log"]) == 0
         assert "Table 2" in capsys.readouterr().out
+        # The streaming engine reads JSON through the same front door.
+        from repro.core.context import ContextStudy
+        from repro.core.parallel import run_pipeline
+        from repro.report.tables import render_pipeline_report
+
+        logs = ["--dns", f"{out}/dns.log", "--conn", f"{out}/conn.log"]
+        assert main(["analyze", "--streaming", "--exact-stats", *logs]) == 0
+        trace = ContextStudy.from_logs(f"{out}/dns.log", f"{out}/conn.log").trace
+        expected = render_pipeline_report(run_pipeline(trace)) + "\n"
+        assert capsys.readouterr().out == expected
+        assert main(["analyze", "--streaming", *logs]) == 0
+        assert "Streaming summary" in capsys.readouterr().out

@@ -33,11 +33,10 @@ from repro.errors import LogFormatError, SimulationError
 from repro.report.tables import render_pipeline_report
 from repro.supervise import SupervisorPolicy
 from repro.monitor.capture import MonitorCapture
+from repro.monitor.ingest import open_log, save_log
 from repro.monitor.logs import (
     read_conn_log,
-    read_conn_log_lenient,
     read_dns_log,
-    read_dns_log_lenient,
     save_conn_log,
     save_dns_log,
     write_conn_log,
@@ -428,7 +427,6 @@ class TestFailedRecordSemantics:
             "D1", answers=(DnsAnswer("93.184.216.34", 300.0, "A"),)
         )
         index = DnsIndex([stray, answered_record("D2")])
-        assert index.failed_records == 1
         candidates = index.candidates_before("10.77.0.10", "93.184.216.34", 200.0)
         assert [c.record.uid for c in candidates] == ["D2"]
 
@@ -596,20 +594,28 @@ DNS_HEADER_AND_ROW = (
 )
 
 
+def _read_lenient(tmp_path, text: str, kind: str = "dns"):
+    """Lenient read of *text* through the ingest front door."""
+    path = tmp_path / f"{kind}.log"
+    path.write_text(text, encoding="utf-8")
+    log = open_log(str(path), kind, strict=False)
+    return list(log), log.report()
+
+
 class TestLenientIngest:
     def test_strict_read_raises_on_garbage(self):
         stream = io.StringIO(DNS_HEADER_AND_ROW + "garbage line\n")
         with pytest.raises(LogFormatError):
             read_dns_log(stream)
 
-    def test_lenient_read_quarantines_with_line_numbers(self):
-        stream = io.StringIO(
+    def test_lenient_read_quarantines_with_line_numbers(self, tmp_path):
+        records, report = _read_lenient(
+            tmp_path,
             DNS_HEADER_AND_ROW
             + "garbage line\n"
             + "not-a-ts\tD2\t10.77.0.10\t40000\t8.8.8.8\t53\tudp\tx.com\tA\t"
-            "NOERROR\t0.020000\t-\t-\t-\n"
+            "NOERROR\t0.020000\t-\t-\t-\n",
         )
-        records, report = read_dns_log_lenient(stream)
         assert [r.uid for r in records] == ["D1"]
         assert report.parsed == 1
         assert len(report.quarantined) == 2
@@ -618,21 +624,21 @@ class TestLenientIngest:
         assert report.quarantine_fraction == pytest.approx(2 / 3)
         assert "quarantined" in report.summary()
 
-    def test_lenient_read_quarantines_data_before_header(self):
-        stream = io.StringIO("stray data first\n" + DNS_HEADER_AND_ROW)
-        records, report = read_dns_log_lenient(stream)
+    def test_lenient_read_quarantines_data_before_header(self, tmp_path):
+        records, report = _read_lenient(tmp_path, "stray data first\n" + DNS_HEADER_AND_ROW)
         assert len(records) == 1
         assert report.quarantined[0].reason == "data before #fields header"
 
-    def test_lenient_conn_read(self):
-        stream = io.StringIO(
+    def test_lenient_conn_read(self, tmp_path):
+        records, report = _read_lenient(
+            tmp_path,
             "#fields\tts\tuid\tid.orig_h\tid.orig_p\tid.resp_h\tid.resp_p\tproto\t"
             "service\tduration\torig_bytes\tresp_bytes\tconn_state\n"
             "100.000000\tC1\t10.77.0.10\t40000\t151.101.1.67\t443\ttcp\tssl\t"
             "1.000000\t100\t200\tSF\n"
-            "bad\tline\n"
+            "bad\tline\n",
+            kind="conn",
         )
-        records, report = read_conn_log_lenient(stream)
         assert [r.uid for r in records] == ["C1"]
         assert report.path_label == "conn"
         assert len(report.quarantined) == 1
@@ -691,6 +697,22 @@ class TestCliExitCodes:
         captured = capsys.readouterr()
         assert code == 0
         assert "quarantined" in captured.err
+        assert "Table 2" in captured.out
+
+    def test_lenient_flag_quarantines_torn_json_line(self, tmp_path, faulted_trace, capsys):
+        dns_path = str(tmp_path / "dns.log")
+        conn_path = str(tmp_path / "conn.log")
+        save_log(dns_path, "dns", "json", faulted_trace.dns)
+        save_log(conn_path, "conn", "json", faulted_trace.conns)
+        with open(conn_path, "a", encoding="utf-8") as stream:
+            stream.write('{"ts": 1.0, "uid": "C-torn", "id.orig_h"\n')
+        arguments = ["analyze", "--dns", dns_path, "--conn", conn_path]
+        assert main(arguments) == EXIT_DATA
+        capsys.readouterr()
+        assert main(["analyze", "--lenient", *arguments[1:]]) == 0
+        captured = capsys.readouterr()
+        assert f"conn: {len(faulted_trace.conns)} records, 1 quarantined lines" in captured.err
+        assert "invalid JSON" in captured.err
         assert "Table 2" in captured.out
 
     def test_debug_flag_reraises(self, capsys):

@@ -1,4 +1,4 @@
-"""Tests for repro.core.population and repro.monitor.json_logs."""
+"""Tests for repro.core.population and the JSON-streaming log format."""
 
 import io
 
@@ -7,14 +7,18 @@ import pytest
 from repro.core.population import characterize, popularity_skew
 from repro.errors import AnalysisError, LogFormatError
 from repro.monitor.capture import Trace
-from repro.monitor.json_logs import (
-    read_conn_json,
-    read_dns_json,
-    write_conn_json,
-    write_dns_json,
-)
+from repro.monitor.ingest import iter_records
+from repro.monitor.json_logs import write_conn_json, write_dns_json
 from repro.monitor.records import ConnRecord, DnsAnswer, DnsRecord, Proto
 from repro.workload.scenario import smoke_scenario
+
+
+def read_dns_json(stream):
+    return list(iter_records(stream, "dns", "json", True, None))
+
+
+def read_conn_json(stream):
+    return list(iter_records(stream, "conn", "json", True, None))
 
 
 def dns(uid, ts, query, house="10.77.0.10", ttl=300.0):
@@ -121,7 +125,7 @@ class TestJsonLogs:
     def test_blank_lines_skipped(self):
         buffer = io.StringIO()
         write_conn_json(buffer, [conn("C1", 1.0)])
-        text = "\n" + buffer.getvalue() + "\n\n"
+        text = "\n" + buffer.getvalue() + "\n  \n\n"
         assert len(read_conn_json(io.StringIO(text))) == 1
 
     def test_invalid_json_rejected(self):
@@ -144,6 +148,23 @@ class TestJsonLogs:
         )
         with pytest.raises(LogFormatError):
             read_dns_json(io.StringIO(line + "\n"))
+
+    @pytest.mark.parametrize(
+        "vector", ['"answers":5', '"TTLs":5', '"answer_types":{"0":"A"}']
+    )
+    def test_non_list_answer_vector_rejected_and_quarantined(self, vector):
+        line = (
+            '{"ts":1.0,"uid":"D1","id.orig_h":"10.0.0.1","id.orig_p":1,'
+            '"id.resp_h":"8.8.8.8","query":"q.com","answers":["1.2.3.4"],'
+            + vector
+            + "}"
+        )
+        with pytest.raises(LogFormatError, match="must be a list"):
+            read_dns_json(io.StringIO(line + "\n"))
+        quarantine = []
+        lines = [line + "\n"]
+        assert list(iter_records(lines, "dns", "json", False, quarantine)) == []
+        assert len(quarantine) == 1
 
     def test_defaults_applied(self):
         line = (

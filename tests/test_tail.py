@@ -1,4 +1,4 @@
-"""Tests for the live-tail log readers in :mod:`repro.monitor.logs`.
+"""Tests for the live-tail log reader :func:`repro.monitor.logs.tail_lines`.
 
 A background writer thread plays the role of the capture infrastructure:
 growing a log, leaving partial trailing lines, rotating (rename and
@@ -13,11 +13,10 @@ import time
 
 import pytest
 
+from repro.monitor.ingest import iter_records, open_log
 from repro.monitor.logs import (
     DNS_FIELDS,
     dns_record_to_line,
-    iter_dns_log,
-    tail_dns_log,
     tail_lines,
     write_header,
 )
@@ -185,9 +184,8 @@ def test_tail_dns_log_parses_records_across_rotation(tmp_path):
         _write_dns_file(path, [_dns(3.0, "c")])
 
     writer = _writer([_rotate])
-    records = list(
-        tail_dns_log(path, poll_interval_s=POLL_S, idle_timeout_s=IDLE_S)
-    )
+    lines = tail_lines(path, poll_interval_s=POLL_S, idle_timeout_s=IDLE_S)
+    records = list(iter_records(lines, "dns", "tsv", True, None))
     writer.join()
     assert [record.uid for record in records] == ["a", "b", "c"]
     # The rotated-in file re-sent its header; parsing survived it.
@@ -204,15 +202,8 @@ def test_tail_dns_log_lenient_quarantines_torn_lines(tmp_path):
             lambda: _append(path, dns_record_to_line(_dns(2.0, "b")) + "\n"),
         ]
     )
-    records = list(
-        tail_dns_log(
-            path,
-            poll_interval_s=POLL_S,
-            idle_timeout_s=IDLE_S,
-            strict=False,
-            quarantine=quarantine,
-        )
-    )
+    lines = tail_lines(path, poll_interval_s=POLL_S, idle_timeout_s=IDLE_S)
+    records = list(iter_records(lines, "dns", "tsv", False, quarantine))
     writer.join()
     assert [record.uid for record in records] == ["a", "b"]
     assert len(quarantine) == 1
@@ -224,7 +215,49 @@ def test_lazy_iterator_lenient_quarantine(tmp_path):
     _write_dns_file(path, [_dns(1.0, "a")])
     _append(path, "broken\tline\n")
     _append(path, dns_record_to_line(_dns(2.0, "b")) + "\n")
-    quarantine = []
-    records = list(iter_dns_log(path, strict=False, quarantine=quarantine))
+    log = open_log(path, "dns", strict=False)
+    records = list(log)
     assert [record.uid for record in records] == ["a", "b"]
-    assert len(quarantine) == 1
+    assert len(log.report().quarantined) == 1
+    assert log.report().parsed == 2
+
+
+def test_open_log_follows_a_growing_json_log(tmp_path):
+    from repro.monitor.json_logs import dns_record_to_json
+
+    path = str(tmp_path / "dns.json")
+    _append(path, dns_record_to_json(_dns(1.0, "a")) + "\n")
+    writer = _writer(
+        [
+            lambda: _append(path, '{"ts": 1.5, "uid": "torn"\n'),
+            lambda: _append(path, dns_record_to_json(_dns(2.0, "b")) + "\n"),
+        ]
+    )
+    log = open_log(path, "dns", strict=False, follow=True, idle_timeout_s=IDLE_S)
+    records = list(log)
+    writer.join()
+    assert log.fmt == "json"
+    assert [record.uid for record in records] == ["a", "b"]
+    assert log.report().parsed == 2
+    assert [line.line_number for line in log.report().quarantined] == [2]
+
+
+@pytest.mark.parametrize("start", ["missing", "empty"])
+def test_open_log_follow_takes_the_format_from_the_first_line(tmp_path, start):
+    from repro.monitor.json_logs import dns_record_to_json
+
+    path = str(tmp_path / "dns.json")
+    if start == "empty":
+        _append(path, "")
+    writer = _writer(
+        [
+            lambda: _append(path, "\n" + dns_record_to_json(_dns(1.0, "a")) + "\n"),
+            lambda: _append(path, dns_record_to_json(_dns(2.0, "b")) + "\n"),
+        ]
+    )
+    log = open_log(path, "dns", strict=True, follow=True, idle_timeout_s=IDLE_S)
+    records = list(log)
+    writer.join()
+    assert log.fmt == "json"
+    assert [record.uid for record in records] == ["a", "b"]
+    assert log.report().parsed == 2
