@@ -109,6 +109,17 @@ def _scenario_from_args(args: argparse.Namespace) -> ScenarioConfig:
     )
 
 
+def _positive_seconds(text: str) -> float:
+    """argparse type: a duration in seconds that must be above zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"must be a positive number of seconds, got {text}")
+    return value
+
+
 def _add_shards_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--shards",
@@ -569,7 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     analyze.add_argument(
         "--idle-timeout-s",
-        type=float,
+        type=_positive_seconds,
         default=None,
         help="with --follow: stop once no new data arrives for this many "
         "seconds (default: follow until interrupted)",

@@ -62,6 +62,7 @@ from repro.core.streaming import (
     StreamMerger,
 )
 from repro.errors import CheckpointError
+from repro.gcpolicy import streaming_fold
 from repro.monitor.records import ConnRecord, DnsRecord
 
 CHECKPOINT_MAGIC = "repro-stream-ckpt"
@@ -443,43 +444,41 @@ def run_checkpointed_stream(
         else:
             analyzer = StreamingAnalyzer(config)
             merger = StreamMerger(dns_reader, conn_reader)
+    if checkpoint is None:
+        analyzer.consume(merger)
+        return analyzer.finish()
     offer_dns = analyzer.offer_dns
     offer_conn = analyzer.offer_conn
-    if checkpoint is None:
+    interval_s = checkpoint.interval_s
+    due = stride = _CADENCE_STRIDE
+    # The snapshotting twin of StreamingAnalyzer.consume: same GC policy.
+    with streaming_fold():
         for kind, record in merger:
             if kind == "dns":
                 offer_dns(record)
             else:
                 offer_conn(record)
-        return analyzer.finish()
-    interval_s = checkpoint.interval_s
-    due = stride = _CADENCE_STRIDE
-    for kind, record in merger:
-        if kind == "dns":
-            offer_dns(record)
-        else:
-            offer_conn(record)
-        due -= 1
-        if due:
-            continue
-        due = stride
-        if kind == "dns":
-            event_ts = record.ts + record.rtt  # inlined completed_at
-        else:
-            event_ts = record.ts
-        if next_snapshot_ts is None:
-            next_snapshot_ts = event_ts + interval_s
-        elif event_ts >= next_snapshot_ts:
-            write_checkpoint(
-                checkpoint,
-                digest,
-                analyzer,
-                merger,
-                dns_reader,
-                conn_reader,
-                event_ts,
-                telemetry,
-            )
-            while next_snapshot_ts <= event_ts:
-                next_snapshot_ts += interval_s
+            due -= 1
+            if due:
+                continue
+            due = stride
+            if kind == "dns":
+                event_ts = record.ts + record.rtt  # inlined completed_at
+            else:
+                event_ts = record.ts
+            if next_snapshot_ts is None:
+                next_snapshot_ts = event_ts + interval_s
+            elif event_ts >= next_snapshot_ts:
+                write_checkpoint(
+                    checkpoint,
+                    digest,
+                    analyzer,
+                    merger,
+                    dns_reader,
+                    conn_reader,
+                    event_ts,
+                    telemetry,
+                )
+                while next_snapshot_ts <= event_ts:
+                    next_snapshot_ts += interval_s
     return analyzer.finish()

@@ -72,6 +72,7 @@ from repro.core.sources import (
     ttl_violation_stats,
 )
 from repro.errors import AnalysisError
+from repro.gcpolicy import frozen_build
 from repro.monitor.capture import Trace
 
 if TYPE_CHECKING:
@@ -138,15 +139,18 @@ class ContextStudy:
         quarantined instead of aborting the ingest (RBLG refuses it);
         the :class:`~repro.monitor.logs.IngestReport` of each file is
         kept on ``study.ingest_reports`` so the caller can surface what
-        was dropped.
+        was dropped. Loading is a :func:`repro.gcpolicy.frozen_build`:
+        the cyclic collector is off while the records are read, and they
+        are frozen out of later collections afterwards.
         """
         from repro.monitor.ingest import open_log
 
-        dns_log = open_log(dns_path, "dns", strict=strict)
-        dns_records = list(dns_log)
-        conn_log = open_log(conn_path, "conn", strict=strict)
-        trace = Trace(dns=dns_records, conns=list(conn_log))
-        trace.sort()
+        with frozen_build():
+            dns_log = open_log(dns_path, "dns", strict=strict)
+            dns_records = list(dns_log)
+            conn_log = open_log(conn_path, "conn", strict=strict)
+            trace = Trace(dns=dns_records, conns=list(conn_log))
+            trace.sort()
         if trace.conns:
             trace.duration = trace.conns[-1].ts - trace.conns[0].ts
         study = cls(trace, options)

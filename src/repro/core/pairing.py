@@ -26,12 +26,12 @@ import enum
 import heapq
 import math
 import random
-from collections import defaultdict
 from dataclasses import dataclass
-from typing import Sequence
+from operator import attrgetter
+from typing import NamedTuple, Sequence
 
 from repro.errors import AnalysisError
-from repro.monitor.records import ConnRecord, DnsRecord
+from repro.monitor.records import ADDRESS_RTYPES, FAILURE_RCODES, ConnRecord, DnsRecord
 from repro.simulation.random import RandomStreams, derive_seed
 
 
@@ -42,8 +42,7 @@ class PairingPolicy(enum.Enum):
     RANDOM_NON_EXPIRED = "random-non-expired"
 
 
-@dataclass(frozen=True, slots=True)
-class PairedConnection:
+class PairedConnection(NamedTuple):
     """One connection with its paired DNS transaction (if any).
 
     ``candidates`` counts the *viable* (non-expired) candidates the
@@ -51,6 +50,10 @@ class PairedConnection:
     ``expired_candidates`` counts the expired candidates that were
     considered and rejected (or, for an expired pairing, fallen back
     on), so the two counters never mix populations.
+
+    A :class:`typing.NamedTuple`, like the log records: pairing builds
+    one per connection, and a frozen dataclass would pay a Python-level
+    ``object.__setattr__`` per field for each.
     """
 
     conn: ConnRecord
@@ -76,7 +79,7 @@ class PairedConnection:
 @dataclass(slots=True)
 class _Candidate:
     completed_at: float
-    expires_at: float | None
+    expires_at: float
     record: DnsRecord
     seq: int = 0
 
@@ -118,7 +121,7 @@ class DnsIndex:
     """
 
     def __init__(self, dns_records: Sequence[DnsRecord] = ()) -> None:
-        self._by_house_address: dict[tuple[str, str], list[_Candidate]] = defaultdict(list)
+        self._by_house_address: dict[tuple[str, str], list[_Candidate]] = {}
         self._keys: dict[tuple[str, str], list[float]] = {}
         self._seq = 0
         self._last_completed_s = -math.inf
@@ -134,47 +137,63 @@ class DnsIndex:
         self._tails: dict[tuple[str, str], _Candidate] = {}
         self._tail_heap: list[tuple[float, int, tuple[str, str], _Candidate]] = []
         self._states: dict[str, _RecordState] = {}
-        for record in sorted(dns_records, key=lambda record: record.completed_at):
-            self.offer(record)
+        # Batch construction: each completion time is computed once, for
+        # the sort and for the insertion alike (a stable sort by it).
+        completed = [record.ts + record.rtt for record in dns_records]
+        for position in sorted(range(len(completed)), key=completed.__getitem__):
+            self._insert(dns_records[position], completed[position])
 
     def offer(self, record: DnsRecord) -> None:
         """Insert one DNS transaction (``completed_at`` must not regress).
 
         The incremental half of batch construction: the constructor
-        sorts and feeds records through this same method.
+        sorts and feeds records through the same insertion.
         """
-        if record.completed_at < self._last_completed_s:
+        self._insert(record, record.ts + record.rtt)
+
+    def _insert(self, record: DnsRecord, completed_at: float) -> None:
+        """:meth:`offer` with the record's ``completed_at`` precomputed.
+
+        Every per-record value — completion, expiry, failure, addresses
+        — is computed once here, not through the record's properties.
+        """
+        if completed_at < self._last_completed_s:
             raise AnalysisError(
                 f"DNS records must be offered in completed-time order: "
-                f"{record.completed_at} after {self._last_completed_s}"
+                f"{completed_at} after {self._last_completed_s}"
             )
-        self._last_completed_s = record.completed_at
-        if record.failed:
+        self._last_completed_s = completed_at
+        if record.rcode in FAILURE_RCODES:
             # A timed-out or SERVFAIL transaction delivered no
             # mapping: it must never become a pairing candidate,
             # even if a malformed log line carries stray answers.
             return
         self._seq += 1
-        placements: list[tuple[tuple[str, str], _Candidate]] = []
-        for address in record.addresses():
-            key = (record.orig_h, address)
-            candidate = _Candidate(
-                completed_at=record.completed_at,
-                expires_at=record.expires_at,
-                record=record,
-                seq=self._seq,
-            )
-            self._by_house_address[key].append(candidate)
-            self._keys.setdefault(key, []).append(record.completed_at)
-            placements.append((key, candidate))
-        if not placements:
+        answers = record.answers
+        addresses = [answer.data for answer in answers if answer.rtype in ADDRESS_RTYPES]
+        if not addresses:
             return
-        state = self._states.setdefault(record.uid, _RecordState())
+        expires_at = completed_at + min([answer.ttl for answer in answers])
+        seq = self._seq
+        house = record.orig_h
+        buckets = self._by_house_address
+        placements: list[tuple[tuple[str, str], _Candidate]] = []
+        for address in addresses:
+            key = (house, address)
+            candidate = _Candidate(completed_at, expires_at, record, seq)
+            bucket = buckets.get(key)
+            if bucket is None:
+                buckets[key] = [candidate]
+                self._keys[key] = [completed_at]
+            else:
+                bucket.append(candidate)
+                self._keys[key].append(completed_at)
+            placements.append((key, candidate))
+        state = self._states.get(record.uid)
+        if state is None:
+            state = self._states[record.uid] = _RecordState()
         state.live += len(placements)
-        if record.expires_at is not None:
-            heapq.heappush(
-                self._expiry_heap, (record.expires_at, self._seq, record, placements)
-            )
+        heapq.heappush(self._expiry_heap, (expires_at, seq, record, placements))
 
     @property
     def live_records(self) -> int:
@@ -221,12 +240,11 @@ class DnsIndex:
 
     def candidates_before(self, house: str, address: str, when: float) -> list[_Candidate]:
         """Candidates for (house, address) completed at or before *when*."""
-        candidates = self._by_house_address.get((house, address))
+        key = (house, address)
+        candidates = self._by_house_address.get(key)
         if not candidates:
             return []
-        times = self._keys[(house, address)]
-        cut = bisect.bisect_right(times, when)
-        return candidates[:cut]
+        return candidates[: bisect.bisect_right(self._keys[key], when)]
 
     def viable_candidates(
         self, house: str, address: str, when: float
@@ -245,13 +263,10 @@ class DnsIndex:
             )
         key = (house, address)
         cut_candidates = self.candidates_before(house, address, when)
-        evicted = self._evicted.get(key, 0)
         non_expired = [
-            candidate
-            for candidate in cut_candidates
-            if candidate.expires_at is None or candidate.expires_at > when
+            candidate for candidate in cut_candidates if candidate.expires_at > when
         ]
-        expired_count = evicted + len(cut_candidates) - len(non_expired)
+        expired_count = self._evicted.get(key, 0) + len(cut_candidates) - len(non_expired)
         if non_expired:
             return non_expired, expired_count, None
         fallback = cut_candidates[-1] if cut_candidates else None
@@ -387,16 +402,36 @@ class Pairer:
         First-use bookkeeping persists across calls (unlike
         :meth:`pair_all`, which starts a fresh pass).
         """
-        if conn.ts < self._last_conn_ts_s:
+        ts = conn.ts
+        if ts < self._last_conn_ts_s:
             raise AnalysisError(
                 f"connections must be offered in timestamp order: "
-                f"{conn.ts} after {self._last_conn_ts_s}"
+                f"{ts} after {self._last_conn_ts_s}"
             )
-        self._last_conn_ts_s = conn.ts
-        result = self._pair_one(conn, self._used_uids)
-        if result.dns is not None:
-            self._used_uids.add(result.dns.uid)
-        return result
+        self._last_conn_ts_s = ts
+        non_expired, expired_count, fallback = self.index.viable_candidates(
+            conn.orig_h, conn.resp_h, ts
+        )
+        if non_expired:
+            if self.policy is PairingPolicy.RANDOM_NON_EXPIRED:
+                chosen = self._rng_for(conn.orig_h).choice(non_expired)
+            else:
+                chosen = non_expired[-1]
+            expired_pairing = False
+        elif fallback is not None:
+            # All candidates are expired: use the most recent one (§4).
+            chosen = fallback
+            expired_pairing = True
+        else:
+            return PairedConnection(conn, None, 0, False, False)
+        record = chosen.record
+        uid = record.uid
+        first_use = uid not in self._used_uids
+        if first_use:
+            self._used_uids.add(uid)
+        return PairedConnection(
+            conn, record, len(non_expired), expired_pairing, first_use, expired_count
+        )
 
     def drain_expired(self, now_s: float, window_s: float | None = None) -> list[DnsRecord]:
         """Evict candidates expired at *now_s*; return retired, never-paired records.
@@ -425,37 +460,10 @@ class Pairer:
         call starts a fresh first-use pass (random-policy streams, by
         contrast, persist across calls).
         """
-        ordered = sorted(conns, key=lambda conn: conn.ts)
+        ordered = sorted(conns, key=attrgetter("ts"))
         self._used_uids = set()
         self._last_conn_ts_s = -math.inf
-        return [self.offer(conn) for conn in ordered]
-
-    def _pair_one(self, conn: ConnRecord, used_uids: set[str]) -> PairedConnection:
-        non_expired, expired_count, fallback = self.index.viable_candidates(
-            conn.orig_h, conn.resp_h, conn.ts
-        )
-        if non_expired:
-            if self.policy == PairingPolicy.RANDOM_NON_EXPIRED:
-                chosen = self._rng_for(conn.orig_h).choice(non_expired)
-            else:
-                chosen = non_expired[-1]
-            expired_pairing = False
-        elif fallback is not None:
-            # All candidates are expired: use the most recent one (§4).
-            chosen = fallback
-            expired_pairing = True
-        else:
-            return PairedConnection(
-                conn=conn, dns=None, candidates=0, expired_pairing=False, first_use=False
-            )
-        return PairedConnection(
-            conn=conn,
-            dns=chosen.record,
-            candidates=len(non_expired),
-            expired_pairing=expired_pairing,
-            first_use=chosen.record.uid not in used_uids,
-            expired_candidates=expired_count,
-        )
+        return list(map(self.offer, ordered))
 
 
 def pair_trace(

@@ -36,7 +36,6 @@ global RNG state.
 from __future__ import annotations
 
 import dataclasses
-import gc
 import multiprocessing
 import os
 import sys
@@ -59,6 +58,7 @@ from repro.core.streaming import (
     finalize_summary,
 )
 from repro.errors import AnalysisError
+from repro.gcpolicy import fork_shared
 from repro.monitor.capture import Trace
 from repro.monitor.records import ConnRecord, DnsRecord
 from repro.supervise import SupervisorPolicy, supervise
@@ -296,24 +296,21 @@ def run_scenarios(
             "nested or concurrent multi-worker sweeps are not supported "
             "(run the inner call with workers=1)"
         )
-    # Assign inside the try so any failure path (gc.freeze, process
-    # spawn) still clears the slot — a leaked fan-out would make the
-    # not-None nesting guard above reject every later sweep in this
-    # process. Freezing the parent heap out of GC keeps the children's
-    # copy-on-write pages shared.
+    # Assign inside the try so any failure path (process spawn) still
+    # clears the slot — a leaked fan-out would make the not-None
+    # nesting guard above reject every later sweep in this process.
     try:
         _SCENARIO_FANOUT = (task, configs)
-        gc.freeze()
-        results, _report = supervise(
-            configs,
-            task,
-            min(workers, len(configs)),
-            policy=supervisor,
-            label="scenario",
-        )
+        with fork_shared():
+            results, _report = supervise(
+                configs,
+                task,
+                min(workers, len(configs)),
+                policy=supervisor,
+                label="scenario",
+            )
         return results
     finally:
-        gc.unfreeze()
         _SCENARIO_FANOUT = None
 
 

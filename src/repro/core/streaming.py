@@ -90,6 +90,7 @@ from repro.core.performance import (
 )
 from repro.core.stats import QuantileSketch
 from repro.errors import AnalysisError
+from repro.gcpolicy import streaming_fold
 from repro.monitor.records import ConnRecord, DnsRecord
 
 DEFAULT_DRAIN_INTERVAL_S = 60.0
@@ -476,14 +477,17 @@ class StreamingAnalyzer:
         self._finished = False
 
     def consume(self, events: Iterable[tuple[str, DnsRecord | ConnRecord]]) -> None:
-        """Feed a :func:`stream_trace`-shaped event stream."""
-        for kind, record in events:
-            if kind == "dns":
-                assert isinstance(record, DnsRecord)
-                self.offer_dns(record)
-            else:
-                assert isinstance(record, ConnRecord)
-                self.offer_conn(record)
+        """Feed a :func:`stream_trace`-shaped event stream.
+
+        The fold runs under :func:`repro.gcpolicy.streaming_fold`.
+        """
+        offer_dns, offer_conn = self.offer_dns, self.offer_conn
+        with streaming_fold():
+            for kind, record in events:
+                if kind == "dns":
+                    offer_dns(record)
+                else:
+                    offer_conn(record)
 
     def _maybe_drain(self, now_s: float) -> None:
         """Evict TTL-dead index state on the configured cadence."""

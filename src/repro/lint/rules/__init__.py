@@ -7,6 +7,7 @@ from repro.lint.rules import (
     determinism,
     docs,
     exceptions,
+    gc_policy,
     shared_state,
     unitflow,
     units,
@@ -17,6 +18,7 @@ __all__ = [
     "determinism",
     "docs",
     "exceptions",
+    "gc_policy",
     "shared_state",
     "unitflow",
     "units",

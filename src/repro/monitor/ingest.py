@@ -50,20 +50,17 @@ from repro.monitor.logs import (
     IngestReport,
     QuarantinedLine,
     _parse_lines,
-    conn_record_from_line,
-    dns_record_from_line,
+    compile_conn_decoder,
+    compile_dns_decoder,
     tail_lines,
     write_conn_log,
     write_dns_log,
 )
 
 KINDS = ("dns", "conn")
-_LINE_PARSERS = {
-    ("tsv", "dns"): dns_record_from_line,
-    ("tsv", "conn"): conn_record_from_line,
-    ("json", "dns"): dns_record_from_json,
-    ("json", "conn"): conn_record_from_json,
-}
+#: TSV decoders are compiled per ``#fields`` header; JSON lines decode alone.
+_TSV_DECODER_COMPILERS = {"dns": compile_dns_decoder, "conn": compile_conn_decoder}
+_JSON_DECODERS = {"dns": dns_record_from_json, "conn": conn_record_from_json}
 _TEXT_WRITERS = {
     ("tsv", "dns"): write_dns_log,
     ("tsv", "conn"): write_conn_log,
@@ -121,10 +118,13 @@ def iter_records(
     malformed lines are appended to *quarantine* (when given) instead
     of raising.
     """
-    parse = _LINE_PARSERS.get((fmt, kind))
-    if parse is None:
-        raise ValueError(f"no text parser for {fmt!r} {kind!r} logs")
-    return _parse_lines(lines, parse, strict, quarantine, headers=fmt == "tsv")
+    if fmt == "tsv" and kind in _TSV_DECODER_COMPILERS:
+        return _parse_lines(
+            lines, strict, quarantine, compile_fields=_TSV_DECODER_COMPILERS[kind]
+        )
+    if fmt == "json" and kind in _JSON_DECODERS:
+        return _parse_lines(lines, strict, quarantine, decode=_JSON_DECODERS[kind])
+    raise ValueError(f"no text parser for {fmt!r} {kind!r} logs")
 
 
 class LogReader:

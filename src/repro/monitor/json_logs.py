@@ -56,40 +56,38 @@ def conn_record_to_json(record: ConnRecord) -> str:
     return json.dumps(payload, separators=(",", ":"))
 
 
-def _load_line(line: str, number: int) -> dict:
+def _load_line(line: str) -> dict:
     try:
         payload = json.loads(line)
     except json.JSONDecodeError as exc:
-        raise LogFormatError(f"line {number}: invalid JSON: {exc}") from exc
+        raise LogFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(payload, dict):
-        raise LogFormatError(f"line {number}: expected a JSON object")
+        raise LogFormatError("expected a JSON object")
     return payload
 
 
-def _require(payload: dict, field: str, number: int):
+def _require(payload: dict, field: str):
     if field not in payload:
-        raise LogFormatError(f"line {number}: missing field {field!r}")
+        raise LogFormatError(f"missing field {field!r}")
     return payload[field]
 
 
-def dns_record_from_json(line: str, _fields: dict[str, int], number: int) -> DnsRecord:
+def dns_record_from_json(line: str) -> DnsRecord:
     """Parse one JSON-streaming dns.log line into a :class:`DnsRecord`.
 
-    The per-line parser :mod:`repro.monitor.ingest` hands to the shared
-    text parse loop; JSON lines name their own fields, so the TSV field
-    map (*_fields*) is unused.
+    The per-line decoder :mod:`repro.monitor.ingest` hands to the shared
+    text parse loop, which adds the line number to the bare reason a
+    malformed line raises.
     """
-    payload = _load_line(line, number)
+    payload = _load_line(line)
     answers_data = payload.get("answers", []) or []
     ttls = payload.get("TTLs", []) or []
     types = payload.get("answer_types", []) or []
     for name, value in (("answers", answers_data), ("TTLs", ttls), ("answer_types", types)):
         if not isinstance(value, list):
-            raise LogFormatError(f"line {number}: {name} must be a list")
+            raise LogFormatError(f"{name} must be a list")
     if ttls and len(ttls) != len(answers_data):
-        raise LogFormatError(
-            f"line {number}: {len(answers_data)} answers but {len(ttls)} TTLs"
-        )
+        raise LogFormatError(f"{len(answers_data)} answers but {len(ttls)} TTLs")
     try:
         answers = tuple(
             DnsAnswer(
@@ -100,35 +98,35 @@ def dns_record_from_json(line: str, _fields: dict[str, int], number: int) -> Dns
             for i, data in enumerate(answers_data)
         )
         return DnsRecord(
-            ts=float(_require(payload, "ts", number)),
-            uid=str(_require(payload, "uid", number)),
-            orig_h=str(_require(payload, "id.orig_h", number)),
-            orig_p=int(_require(payload, "id.orig_p", number)),
-            resp_h=str(_require(payload, "id.resp_h", number)),
+            ts=float(_require(payload, "ts")),
+            uid=str(_require(payload, "uid")),
+            orig_h=str(_require(payload, "id.orig_h")),
+            orig_p=int(_require(payload, "id.orig_p")),
+            resp_h=str(_require(payload, "id.resp_h")),
             resp_p=int(payload.get("id.resp_p", 53)),
             proto=Proto.parse(str(payload.get("proto", "udp"))),
-            query=str(_require(payload, "query", number)),
+            query=str(_require(payload, "query")),
             qtype=str(payload.get("qtype_name", "A")),
             rcode=str(payload.get("rcode_name", "NOERROR")),
             rtt=float(payload.get("rtt", 0.0)),
             answers=answers,
         )
     except (TypeError, ValueError) as exc:
-        raise LogFormatError(f"line {number}: {exc}") from exc
+        raise LogFormatError(str(exc)) from exc
 
 
-def conn_record_from_json(line: str, _fields: dict[str, int], number: int) -> ConnRecord:
+def conn_record_from_json(line: str) -> ConnRecord:
     """Parse one JSON-streaming conn.log line; see :func:`dns_record_from_json`."""
-    payload = _load_line(line, number)
+    payload = _load_line(line)
     try:
         return ConnRecord(
-            ts=float(_require(payload, "ts", number)),
-            uid=str(_require(payload, "uid", number)),
-            orig_h=str(_require(payload, "id.orig_h", number)),
-            orig_p=int(_require(payload, "id.orig_p", number)),
-            resp_h=str(_require(payload, "id.resp_h", number)),
-            resp_p=int(_require(payload, "id.resp_p", number)),
-            proto=Proto.parse(str(_require(payload, "proto", number))),
+            ts=float(_require(payload, "ts")),
+            uid=str(_require(payload, "uid")),
+            orig_h=str(_require(payload, "id.orig_h")),
+            orig_p=int(_require(payload, "id.orig_p")),
+            resp_h=str(_require(payload, "id.resp_h")),
+            resp_p=int(_require(payload, "id.resp_p")),
+            proto=Proto.parse(str(_require(payload, "proto"))),
             service=str(payload.get("service", "-")),
             duration=float(payload.get("duration", 0.0)),
             orig_bytes=int(payload.get("orig_bytes", 0)),
@@ -136,7 +134,7 @@ def conn_record_from_json(line: str, _fields: dict[str, int], number: int) -> Co
             conn_state=str(payload.get("conn_state", "SF")),
         )
     except (TypeError, ValueError) as exc:
-        raise LogFormatError(f"line {number}: {exc}") from exc
+        raise LogFormatError(str(exc)) from exc
 
 
 def write_dns_json(stream: IO[str], records: Iterable[DnsRecord]) -> int:

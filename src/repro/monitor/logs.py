@@ -12,7 +12,9 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from typing import IO, Callable, Iterable, Iterator
+from itertools import repeat
+from operator import itemgetter
+from typing import IO, Any, Callable, Iterable, Iterator, NoReturn, Sequence
 
 from repro.errors import LogFormatError
 from repro.monitor.records import ConnRecord, DnsAnswer, DnsRecord, Proto
@@ -184,11 +186,17 @@ def write_conn_log(stream: IO[str], records: Iterable[ConnRecord]) -> int:
     return count
 
 
-def _field(columns: list[str], index_by_name: dict[str, int], name: str, line_number: int) -> str:
-    index = index_by_name.get(name)
-    if index is None or index >= len(columns):
-        raise LogFormatError(f"line {line_number}: missing field {name!r}")
-    return columns[index]
+def _check_order(fields: tuple[str, ...], first: tuple[str, ...]) -> tuple[str, ...]:
+    """*fields* with *first* moved to the front."""
+    return (*first, *(name for name in fields if name not in first))
+
+
+#: The order in which a short line is searched for its first missing
+#: column: the vector and validated numeric columns lead, and a
+#: truncated line names the same column whatever the header layout.
+_DNS_CHECK_ORDER = _check_order(DNS_FIELDS, ("answers", "TTLs", "answer_types", "rtt"))
+_CONN_CHECK_ORDER = _check_order(CONN_FIELDS, ("duration", "orig_bytes", "resp_bytes"))
+_PROTOS = {proto.value: proto for proto in Proto}
 
 
 def _parse_vector(text: str) -> list[str]:
@@ -197,79 +205,139 @@ def _parse_vector(text: str) -> list[str]:
     return text.split(_VECTOR_SEPARATOR)
 
 
-def dns_record_from_line(line: str, index_by_name: dict[str, int], number: int) -> DnsRecord:
-    """Parse one TSV data line into a :class:`DnsRecord`."""
-    columns = line.split(_SEPARATOR)
-    answers_text = _field(columns, index_by_name, "answers", number)
-    ttls_text = _field(columns, index_by_name, "TTLs", number)
-    types_text = (
-        _field(columns, index_by_name, "answer_types", number)
-        if "answer_types" in index_by_name
-        else _UNSET
-    )
-    answer_data = _parse_vector(answers_text)
-    ttl_data = _parse_vector(ttls_text)
-    type_data = _parse_vector(types_text)
-    if ttl_data and len(ttl_data) != len(answer_data):
-        raise LogFormatError(
-            f"line {number}: {len(answer_data)} answers but {len(ttl_data)} TTLs"
-        )
-    answers = tuple(
-        DnsAnswer(
-            data=data,
-            ttl=float(ttl_data[i]) if ttl_data else 0.0,
-            rtype=type_data[i] if i < len(type_data) else "A",
-        )
-        for i, data in enumerate(answer_data)
-    )
-    rtt_text = _field(columns, index_by_name, "rtt", number)
-    rtt = 0.0 if rtt_text == _UNSET else float(rtt_text)
-    # Boundary validation: the record types are plain NamedTuples, so
-    # untrusted values are checked here, where the bytes come in.
-    if rtt < 0:
-        raise LogFormatError(f"line {number}: rtt cannot be negative: {rtt}")
-    return DnsRecord(
-        ts=float(_field(columns, index_by_name, "ts", number)),
-        uid=_field(columns, index_by_name, "uid", number),
-        orig_h=_field(columns, index_by_name, "id.orig_h", number),
-        orig_p=int(_field(columns, index_by_name, "id.orig_p", number)),
-        resp_h=_field(columns, index_by_name, "id.resp_h", number),
-        resp_p=int(_field(columns, index_by_name, "id.resp_p", number)),
-        proto=Proto.parse(_field(columns, index_by_name, "proto", number)),
-        query=_field(columns, index_by_name, "query", number),
-        qtype=_field(columns, index_by_name, "qtype_name", number),
-        rcode=_field(columns, index_by_name, "rcode_name", number),
-        rtt=rtt,
-        answers=answers,
-    )
+def _decode_answers(answers_text: str, ttls_text: str, types_text: str) -> tuple[DnsAnswer, ...]:
+    """One dns.log line's answer section, from its three vector columns."""
+    data = _parse_vector(answers_text)
+    ttls = _parse_vector(ttls_text)
+    if ttls and len(ttls) != len(data):
+        raise LogFormatError(f"{len(data)} answers but {len(ttls)} TTLs")
+    if not data:
+        return ()
+    types = _parse_vector(types_text)
+    if len(types) < len(data):
+        types += ["A"] * (len(data) - len(types))
+    return tuple(map(DnsAnswer, data, map(float, ttls) if ttls else repeat(0.0), types))
 
 
-def conn_record_from_line(line: str, index_by_name: dict[str, int], number: int) -> ConnRecord:
-    """Parse one TSV data line into a :class:`ConnRecord`."""
-    columns = line.split(_SEPARATOR)
-    duration_text = _field(columns, index_by_name, "duration", number)
-    duration = 0.0 if duration_text == _UNSET else float(duration_text)
-    orig_bytes = int(_field(columns, index_by_name, "orig_bytes", number))
-    resp_bytes = int(_field(columns, index_by_name, "resp_bytes", number))
-    # Boundary validation (see dns_record_from_line).
-    if duration < 0:
-        raise LogFormatError(f"line {number}: duration cannot be negative: {duration}")
-    if orig_bytes < 0 or resp_bytes < 0:
-        raise LogFormatError(f"line {number}: byte counts cannot be negative")
-    return ConnRecord(
-        ts=float(_field(columns, index_by_name, "ts", number)),
-        uid=_field(columns, index_by_name, "uid", number),
-        orig_h=_field(columns, index_by_name, "id.orig_h", number),
-        orig_p=int(_field(columns, index_by_name, "id.orig_p", number)),
-        resp_h=_field(columns, index_by_name, "id.resp_h", number),
-        resp_p=int(_field(columns, index_by_name, "id.resp_p", number)),
-        proto=Proto.parse(_field(columns, index_by_name, "proto", number)),
-        service=_field(columns, index_by_name, "service", number),
-        duration=duration,
-        orig_bytes=orig_bytes,
-        resp_bytes=resp_bytes,
-        conn_state=_field(columns, index_by_name, "conn_state", number),
-    )
+def _layout(
+    fields: Sequence[str], check_order: tuple[str, ...]
+) -> tuple[dict[str, int], list[str], str | None]:
+    """Where a ``#fields`` header puts each column a decoder reads.
+
+    Returns the column positions, the columns present in *check_order*
+    and, when the header lacks a required column, the reason every data
+    line under it fails. Only ``answer_types`` may be absent.
+    """
+    position = {name: index for index, name in enumerate(fields)}
+    present = [name for name in check_order if name in position]
+    absent = [name for name in check_order if name not in position and name != "answer_types"]
+    return position, present, f"missing field {absent[0]!r}" if absent else None
+
+
+def _short_line(present: list[str], position: dict[str, int], values: list[str]) -> LogFormatError:
+    """The error of a data line with fewer columns than its header."""
+    missing = next(name for name in present if position[name] >= len(values))
+    return LogFormatError(f"missing field {missing!r}")
+
+
+def _failing_decoder(reason: str) -> Callable[[str], NoReturn]:
+    """The decoder under a header that lacks a required column."""
+
+    def decode(line: str) -> NoReturn:
+        raise LogFormatError(reason)
+
+    return decode
+
+
+def compile_dns_decoder(fields: Sequence[str]) -> Callable[[str], DnsRecord]:
+    """The decoder of dns.log data lines under the header *fields*.
+
+    *fields* are the column names of a ``#fields`` line, in any order;
+    unknown columns are ignored and ``answer_types`` may be absent
+    (every answer then reads as an ``A`` record). The column positions
+    are resolved here, once per header, so decoding a line is one split
+    and one pick. Malformed lines raise :class:`LogFormatError` (or
+    :class:`ValueError` for an unparsable number) with the bare reason;
+    the parse loop adds the line number.
+    """
+    position, present, failure = _layout(fields, _DNS_CHECK_ORDER)
+    if failure is not None:
+        return _failing_decoder(failure)
+    width = max(position[name] for name in present) + 1
+    pick = itemgetter(*(position[name] for name in DNS_FIELDS if name != "answer_types"))
+    types_at = position.get("answer_types")
+    protos = _PROTOS
+
+    def decode(line: str) -> DnsRecord:
+        values = line.split(_SEPARATOR)
+        if len(values) < width:
+            raise _short_line(present, position, values)
+        (ts, uid, orig_h, orig_p, resp_h, resp_p, proto, query, qtype, rcode, rtt_text,
+         answers_text, ttls_text) = pick(values)
+        types_text = _UNSET if types_at is None else values[types_at]
+        rtt = 0.0 if rtt_text == _UNSET else float(rtt_text)
+        # Boundary validation: the record types are plain NamedTuples, so
+        # untrusted values are checked here, where the bytes come in.
+        if rtt < 0:
+            raise LogFormatError(f"rtt cannot be negative: {rtt}")
+        return DnsRecord(
+            float(ts),
+            uid,
+            orig_h,
+            int(orig_p),
+            resp_h,
+            int(resp_p),
+            query,
+            qtype,
+            rcode,
+            rtt,
+            _decode_answers(answers_text, ttls_text, types_text),
+            protos.get(proto) or Proto.parse(proto),
+        )
+
+    return decode
+
+
+def compile_conn_decoder(fields: Sequence[str]) -> Callable[[str], ConnRecord]:
+    """The decoder of conn.log data lines under the header *fields*; see
+    :func:`compile_dns_decoder`."""
+    position, present, failure = _layout(fields, _CONN_CHECK_ORDER)
+    if failure is not None:
+        return _failing_decoder(failure)
+    width = max(position[name] for name in present) + 1
+    pick = itemgetter(*(position[name] for name in CONN_FIELDS))
+    protos = _PROTOS
+
+    def decode(line: str) -> ConnRecord:
+        values = line.split(_SEPARATOR)
+        if len(values) < width:
+            raise _short_line(present, position, values)
+        (ts, uid, orig_h, orig_p, resp_h, resp_p, proto, service, duration_text,
+         orig_text, resp_text, conn_state) = pick(values)
+        duration = 0.0 if duration_text == _UNSET else float(duration_text)
+        orig_bytes = int(orig_text)
+        resp_bytes = int(resp_text)
+        # Boundary validation (see compile_dns_decoder).
+        if duration < 0:
+            raise LogFormatError(f"duration cannot be negative: {duration}")
+        if orig_bytes < 0 or resp_bytes < 0:
+            raise LogFormatError("byte counts cannot be negative")
+        return ConnRecord(
+            float(ts),
+            uid,
+            orig_h,
+            int(orig_p),
+            resp_h,
+            int(resp_p),
+            protos.get(proto) or Proto.parse(proto),
+            duration,
+            orig_bytes,
+            resp_bytes,
+            service,
+            conn_state,
+        )
+
+    return decode
 
 
 def read_dns_log(stream: IO[str]) -> list[DnsRecord]:
@@ -278,7 +346,7 @@ def read_dns_log(stream: IO[str]) -> list[DnsRecord]:
     Strict: a malformed line raises. Lenient reading, with a quarantine
     report, goes through :func:`repro.monitor.ingest.open_log`.
     """
-    return list(_parse_lines(stream, dns_record_from_line, True, None))
+    return list(_parse_lines(stream, True, None, compile_fields=compile_dns_decoder))
 
 
 def read_conn_log(stream: IO[str]) -> list[ConnRecord]:
@@ -286,7 +354,7 @@ def read_conn_log(stream: IO[str]) -> list[ConnRecord]:
 
     Strict, like :func:`read_dns_log`.
     """
-    return list(_parse_lines(stream, conn_record_from_line, True, None))
+    return list(_parse_lines(stream, True, None, compile_fields=compile_conn_decoder))
 
 
 def save_dns_log(path: str, records: Iterable[DnsRecord]) -> int:
@@ -315,50 +383,45 @@ def load_conn_log(path: str) -> list[ConnRecord]:
 
 def _parse_lines(
     lines: Iterable[str],
-    parse,
     strict: bool,
     quarantine: list[QuarantinedLine] | None,
-    headers: bool = True,
+    decode: Callable[[str], Any] | None = None,
+    compile_fields: Callable[[Sequence[str]], Callable[[str], Any]] | None = None,
 ) -> Iterator:
     """The one parse loop behind every text reader: TSV and JSON, whole
     file, lazy and tailing alike.
 
-    *parse* turns one non-blank line into a record. With ``headers``
-    (TSV), ``#`` lines re-establish the field map whenever they appear,
-    so a tailed stream that crosses a rotation boundary picks up the
-    new file's header transparently; JSON lines name their own fields
-    (``headers=False``). With ``strict`` a malformed line raises
-    :class:`LogFormatError`; otherwise it is appended to *quarantine*
-    (when given) and skipped, keeping a long-lived tail alive across
-    the occasional torn line.
+    JSON lines name their own fields: *decode* turns one non-blank line
+    into a record. TSV passes *compile_fields* instead: ``#`` lines are
+    headers, and every ``#fields`` line compiles the decoder for the
+    lines below it, so a tailed stream that crosses a rotation boundary
+    picks up the new file's header transparently. Decoders raise the
+    bare reason a line is malformed. With ``strict`` that raises
+    :class:`LogFormatError` as ``line N: reason``; otherwise the line
+    goes to *quarantine* (when given) with the reason and its line
+    number, and is skipped, keeping a long-lived tail alive across the
+    occasional torn line.
     """
-    index_by_name: dict[str, int] | None = None if headers else {}
+    headers = compile_fields is not None
     for number, line in enumerate(lines, start=1):
         line = line.rstrip("\n")
         if not line or (not headers and line.isspace()):
             continue
-        if headers and line.startswith("#"):
+        if headers and line[0] == "#":
             if line.startswith("#fields"):
-                parts = line.split(_SEPARATOR)
-                index_by_name = {name: index for index, name in enumerate(parts[1:])}
-            continue
-        if index_by_name is None:
-            if strict:
-                raise LogFormatError(f"line {number}: data before #fields header")
-            if quarantine is not None:
-                quarantine.append(
-                    QuarantinedLine(number, "data before #fields header", line)
-                )
+                decode = compile_fields(line.split(_SEPARATOR)[1:])
             continue
         try:
-            yield parse(line, index_by_name, number)
+            if decode is None:
+                raise LogFormatError("data before #fields header")
+            record = decode(line)
         except (ValueError, LogFormatError) as exc:
             if strict:
-                if isinstance(exc, LogFormatError):
-                    raise
                 raise LogFormatError(f"line {number}: {exc}") from exc
             if quarantine is not None:
                 quarantine.append(QuarantinedLine(number, str(exc), line))
+            continue
+        yield record
 
 
 def tail_lines(

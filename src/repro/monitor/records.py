@@ -48,6 +48,10 @@ class Proto(enum.Enum):
             raise LogFormatError(f"unknown protocol {text!r}") from exc
 
 
+#: The answer record types whose data is an IP address.
+ADDRESS_RTYPES = frozenset({"A", "AAAA"})
+
+
 class DnsAnswer(NamedTuple):
     """One answer resource record as logged: data string plus TTL."""
 
@@ -58,7 +62,7 @@ class DnsAnswer(NamedTuple):
     @property
     def is_address(self) -> bool:
         """True for A/AAAA answers (the data is an IP address)."""
-        return self.rtype in ("A", "AAAA")
+        return self.rtype in ADDRESS_RTYPES
 
 
 #: The rcode string Zeek logs for a query that never got a response

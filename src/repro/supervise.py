@@ -43,7 +43,6 @@ simulation/analysis packages.
 
 from __future__ import annotations
 
-import gc
 import multiprocessing
 import random
 import threading
@@ -55,6 +54,7 @@ from typing import Any, Callable, Sequence
 import pickle
 
 from repro.errors import AnalysisError, ReproError, SupervisionError
+from repro.gcpolicy import bounded_build
 from repro.simulation.random import derive_seed
 
 #: Failures a worker reports over its pipe (everything a task or the
@@ -168,9 +168,10 @@ def _child_main(
     Failures in :data:`_REPORTABLE_FAILURES` are reported over the pipe
     (so the supervisor can distinguish genuine :class:`ReproError`
     failures from crashes); anything more exotic propagates, kills the
-    process, and is handled by the supervisor's exitcode backstop.
+    process, and is handled by the supervisor's exitcode backstop. The
+    attempt is a bounded build (:func:`repro.gcpolicy.bounded_build`):
+    the cyclic collector stays off until the result is sent.
     """
-    gc.disable()
     stop = threading.Event()
 
     def _beat() -> None:
@@ -179,14 +180,15 @@ def _child_main(
             stop.wait(interval_s)
 
     threading.Thread(target=_beat, daemon=True, name="supervise-heartbeat").start()
-    try:
-        result = run(task)
-    except _REPORTABLE_FAILURES as exc:
+    with bounded_build():
+        try:
+            result = run(task)
+        except _REPORTABLE_FAILURES as exc:
+            stop.set()
+            _send(conn, ("error", isinstance(exc, ReproError), f"{type(exc).__name__}: {exc}"))
+            return
         stop.set()
-        _send(conn, ("error", isinstance(exc, ReproError), f"{type(exc).__name__}: {exc}"))
-        return
-    stop.set()
-    _send(conn, ("ok", result))
+        _send(conn, ("ok", result))
 
 
 @dataclass(slots=True)

@@ -26,7 +26,6 @@ the cross-house data dependency that forced serial generation.
 from __future__ import annotations
 
 import dataclasses
-import gc
 import multiprocessing
 import random
 from dataclasses import dataclass
@@ -40,6 +39,7 @@ from repro.core.parallel import (
 )
 from repro.dns.cache import DnsCache
 from repro.dns.resolver import RecursiveResolver, ResolverProfile, build_platform_profiles
+from repro.gcpolicy import bounded_build
 from repro.monitor.capture import MonitorCapture, Trace, merge_traces
 from repro.monitor.records import ConnRecord, DnsRecord
 from repro.simulation.engine import SimulationEngine
@@ -563,19 +563,14 @@ def generate_trace(
 
     ``shards``/``workers`` fan the scenario's houses out over a fork
     pool; the result is byte-identical for every combination (the
-    golden parity tests pin this). Generation allocates millions of
-    short-lived, acyclic objects; the cyclic collector only adds
-    pauses, so it is suspended for the run (and restored even on
-    failure). Reference counting still frees everything promptly.
+    golden parity tests pin this). Generation is a bounded build under
+    :func:`repro.gcpolicy.bounded_build`: it allocates millions of
+    short-lived, acyclic objects that reference counting frees
+    promptly, so the cyclic collector is off for the run.
     """
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with bounded_build():
         trace, _ = _generate(config, shards, workers)
-        return trace
-    finally:
-        if gc_was_enabled:
-            gc.enable()
+    return trace
 
 
 def generate_trace_with_pressure(
@@ -583,15 +578,10 @@ def generate_trace_with_pressure(
 ) -> tuple[Trace, PressureStats]:
     """Generate the trace for *config* and its pressure tally.
 
-    Same gc discipline and fan-out contract as :func:`generate_trace`;
+    Same GC policy and fan-out contract as :func:`generate_trace`;
     use this variant when the cache/budget counters matter (pressure
     sweeps, benchmarks). The tally is summed per house and merged, so
     it too is independent of the shard/worker split.
     """
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with bounded_build():
         return _generate(config, shards, workers)
-    finally:
-        if gc_was_enabled:
-            gc.enable()

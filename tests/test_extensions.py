@@ -171,6 +171,18 @@ class TestCli:
         assert code == 2
         assert "--workers >1 requires --streaming" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["0", "-1", "nan"])
+    def test_non_positive_idle_timeout_is_a_usage_error(self, value, capsys):
+        from repro.cli import main
+
+        arguments = ["analyze", "--streaming", "--follow", "--dns", "dns.log", "--conn", "conn.log"]
+        with pytest.raises(SystemExit) as exit_info:
+            main([*arguments, "--idle-timeout-s", value])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--idle-timeout-s: must be a positive number of seconds" in err
+        assert "Traceback" not in err
+
     def test_analyze_pcap(self, tmp_path, capsys):
         import importlib.util
         from pathlib import Path

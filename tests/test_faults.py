@@ -715,6 +715,32 @@ class TestCliExitCodes:
         assert "invalid JSON" in captured.err
         assert "Table 2" in captured.out
 
+    def test_lenient_stderr_names_each_line_number_once(self, tmp_path, faulted_trace, capsys):
+        # The quarantine reason is the bare reason; the report prints the
+        # line number once in front of it.
+        dns_path = str(tmp_path / "dns.log")
+        tsv_conn = str(tmp_path / "conn.log")
+        json_conn = str(tmp_path / "conn.json")
+        save_dns_log(dns_path, faulted_trace.dns)
+        save_conn_log(tsv_conn, faulted_trace.conns)
+        save_log(json_conn, "conn", "json", faulted_trace.conns)
+        with open(tsv_conn, encoding="utf-8") as stream:
+            torn = "\t".join(stream.readlines()[-1].split("\t")[:5])
+        with open(tsv_conn, "a", encoding="utf-8") as stream:
+            stream.write(torn + "\n")
+        with open(json_conn, "a", encoding="utf-8") as stream:
+            stream.write('{"ts": 1.0, "uid": "C-torn", "id.orig_h"\n')
+        records = len(faulted_trace.conns)
+        for conn_path, number, reason in (
+            # TSV: three header lines, then the records.
+            (tsv_conn, records + 4, "missing field 'duration'\n"),
+            (json_conn, records + 1, "invalid JSON: Expecting ':' delimiter"),
+        ):
+            assert main(["analyze", "--lenient", "--dns", dns_path, "--conn", conn_path]) == 0
+            err = capsys.readouterr().err
+            assert f"  line {number}: {reason}" in err
+            assert err.count(f"line {number}:") == 1
+
     def test_debug_flag_reraises(self, capsys):
         with pytest.raises(OSError):
             main(

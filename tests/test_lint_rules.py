@@ -789,3 +789,43 @@ class TestCKPT002BinlogAtomicity:
             module="repro.core.checkpoint",
         )
         assert findings == []
+
+
+class TestGC001GcPolicy:
+    @pytest.mark.parametrize(
+        "call", ["disable()", "enable()", "freeze()", "unfreeze()", "set_threshold(10000)"]
+    )
+    def test_collector_switches_flagged(self, call):
+        findings = lint(f"import gc\n\ndef build():\n    gc.{call}\n", rules=["GC001"])
+        assert rule_ids(findings) == ["GC001"]
+        assert "repro.gcpolicy" in findings[0].message
+
+    def test_aliased_and_from_imports_flagged(self):
+        findings = lint(
+            "import gc as collector\n"
+            "from gc import freeze\n\n"
+            "def build():\n"
+            "    collector.disable()\n"
+            "    freeze()\n",
+            rules=["GC001"],
+        )
+        assert rule_ids(findings) == ["GC001", "GC001"]
+
+    def test_reading_collector_state_allowed(self):
+        assert lint(
+            "import gc\n\n"
+            "def state():\n"
+            "    return gc.isenabled(), gc.get_threshold(), gc.get_freeze_count()\n",
+            rules=["GC001"],
+        ) == []
+
+    def test_unrelated_disable_allowed(self):
+        assert lint("def stop(feature):\n    feature.disable()\n", rules=["GC001"]) == []
+
+    def test_policy_module_itself_exempt(self):
+        findings = lint(
+            "import gc\n\ndef bounded_build():\n    gc.disable()\n    gc.freeze()\n",
+            module="repro.gcpolicy",
+            rules=["GC001"],
+        )
+        assert findings == []
